@@ -1,7 +1,5 @@
 """Exact deformation-data search and verification over P^1 in characteristic p."""
 
-from ._core import BACKEND as KERNEL_BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

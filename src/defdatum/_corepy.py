@@ -1,9 +1,9 @@
 """Dense univariate polynomial kernels over the prime field F_p.
 
 Polynomials are little-endian lists of ints in [0, p) with no trailing
-zeros; the zero polynomial is the empty list.  These functions are the
-hot path for all field-element and polynomial arithmetic; a compiled
-twin lives in _gfcore.pyx and _core picks whichever is importable.
+zeros; the zero polynomial is the empty list.  algebra uses them to find
+canonical moduli, to build the tables of small fields and for the
+arithmetic of fields above its table cap.
 """
 
 
@@ -30,13 +30,6 @@ def neg(a, p):
 
 def sub(a, b, p):
     return add(a, neg(b, p), p)
-
-
-def smul(a, c, p):
-    c %= p
-    if c == 0:
-        return []
-    return [(x * c) % p for x in a]
 
 
 def mul(a, b, p):
@@ -87,10 +80,3 @@ def powmod(a, e, mod, p):
         base = divmod_(mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
-
-
-def eval_(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc

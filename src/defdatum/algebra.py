@@ -9,15 +9,16 @@ Serialization of a field element is
 with all integers reduced to [0, p).  Extension moduli are canonical
 (the lexicographically least monic irreducible of the given degree,
 coefficients compared from the top degree down), so serialized values
-are reproducible across runs.
+are reproducible across runs.  Field arithmetic runs on log/antilog
+tables up to _TABLE_CAP elements; _corepy's polynomial kernels build the
+tables and serve the larger fields.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from . import _core
+from . import _corepy
 
 
 class _Infinity:
@@ -73,14 +74,14 @@ def _is_irreducible(f, p):
     # x^(p^r) == x mod f
     xq = x
     for _ in range(r):
-        xq = _core.powmod(xq, p, f, p)
-    if _core.trim(_core.sub(xq, x, p)) != []:
+        xq = _corepy.powmod(xq, p, f, p)
+    if _corepy.trim(_corepy.sub(xq, x, p)) != []:
         return False
     for t in _prime_divisors(r):
         xq = x
         for _ in range(r // t):
-            xq = _core.powmod(xq, p, f, p)
-        g = _core.gcd_(_core.sub(xq, x, p), f, p)
+            xq = _corepy.powmod(xq, p, f, p)
+        g = _corepy.gcd_(_corepy.sub(xq, x, p), f, p)
         if g != [1]:
             return False
     return True
@@ -97,23 +98,42 @@ def _canonical_modulus(p, r):
     if r == 1:
         return (0, 1)
     for i in range(p**r):
-        c, k = [], i
-        for _ in range(r):
-            c.append(k % p)
-            k //= p
-        f = c + [1]
+        f = _digits(i, p, r) + [1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise ArithmeticError(f"no irreducible of degree {r} over F_{p}")
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    """The field F_{p^r} presented as F_p[x]/(modulus)."""
+# Fields with at most this many elements run on lookup tables; larger ones
+# (reached only through big extensions in nth_root_with_extension and
+# search.normalize_epsilons) keep polynomial arithmetic modulo the modulus.
+_TABLE_CAP = 1 << 16
 
-    p: int
-    r: int
-    modulus: tuple
+
+class FieldDescriptor:
+    """The field F_{p^r} presented as F_p[x]/(modulus).
+
+    Up to _TABLE_CAP elements, the first use of the field builds its
+    tables: every element once (``_elems``, indexed by serialization
+    key), the antilog table ``_exp`` of a primitive element g and the
+    Zech logarithms ``_zech`` (Lidl-Niederreiter, Finite Fields, 10.3).
+    An element carries its discrete log to base g, 2(q-1) for zero, and
+    ``_exp`` is padded with zero from index 2(q-1) on, so a product is
+    the single lookup ``_exp[log a + log b]``.
+    """
+
+    __slots__ = (
+        "p", "r", "modulus", "order", "_hash",
+        "_elems", "_exp", "_zech", "_q1", "_zlog", "_half",
+    )
+
+    def __init__(self, p, r, modulus):
+        self.p = p
+        self.r = r
+        self.modulus = tuple(modulus)
+        self.order = p**r
+        self._hash = hash((p, r, self.modulus))
+        self._elems = None
 
     @staticmethod
     @functools.cache
@@ -124,23 +144,43 @@ class FieldDescriptor:
             raise ValueError("extension degree must be >= 1")
         return FieldDescriptor(p, r, _canonical_modulus(p, r))
 
-    @property
-    def order(self):
-        return self.p**self.r
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FieldDescriptor):
+            return NotImplemented
+        return (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus)
+
+    def __hash__(self):
+        return self._hash
+
+    def _tables(self):
+        """The elements by key, building the tables first; None above the cap."""
+        if self.order > _TABLE_CAP:
+            return None
+        if self._elems is None:
+            _build_tables(self)
+        return self._elems
 
     def element(self, value):
         if isinstance(value, FieldElement):
             if value.descriptor != self:
                 raise ValueError("field mismatch; use embed() explicitly")
             return value
+        elems = self._elems or self._tables()
+        p = self.p
         if isinstance(value, int):
-            coeffs = [value % self.p] + [0] * (self.r - 1)
-            return FieldElement(self, tuple(coeffs))
-        coeffs = [int(v) % self.p for v in value]
-        if len(coeffs) > self.r:
-            raise ValueError("coefficient vector too long")
+            if elems:
+                return elems[value % p]
+            coeffs = [value % p]
+        else:
+            coeffs = [int(v) % p for v in value]
+            if len(coeffs) > self.r:
+                raise ValueError("coefficient vector too long")
+        if elems:
+            return elems[sum(c * p**k for k, c in enumerate(coeffs))]
         coeffs += [0] * (self.r - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        return _PolyElement(self, tuple(coeffs))
 
     def zero(self):
         return self.element(0)
@@ -156,24 +196,76 @@ class FieldDescriptor:
 
     def elements(self):
         """All elements in serialization order (least first)."""
-        p, r = self.p, self.r
-        for i in range(p**r):
-            coeffs, k = [], i
-            for _ in range(r):
-                coeffs.append(k % p)
-                k //= p
-            yield FieldElement(self, tuple(coeffs))
+        elems = self._tables()
+        if elems:
+            return iter(elems)
+        return (self.element(_digits(i, self.p, self.r)) for i in range(self.order))
 
     def __repr__(self):
         return f"F_{self.p}^{self.r}" if self.r > 1 else f"F_{self.p}"
 
 
-class FieldElement:
-    __slots__ = ("descriptor", "coeffs")
+def _digits(k, p, r):
+    """The r base-p digits of k, least significant first."""
+    out = []
+    for _ in range(r):
+        out.append(k % p)
+        k //= p
+    return out
 
-    def __init__(self, descriptor, coeffs):
+
+def _least_primitive(p, r, f, q1):
+    """Coefficient list of the least element (by key) generating F_q^x."""
+    for k in range(1, q1 + 1):
+        c = _corepy.trim(_digits(k, p, r))
+        if all(_corepy.powmod(c, q1 // l, f, p) != [1] for l in _prime_divisors(q1)):
+            return c
+    raise ArithmeticError("modulus is not irreducible")
+
+
+def _build_tables(d):
+    """Fill in the element, antilog and Zech tables of d from g^0, g^1, ..."""
+    p, r, q1 = d.p, d.r, d.order - 1
+    f = list(d.modulus)
+    g = _least_primitive(p, r, f, q1)
+    elems = [None] * (q1 + 1)
+    powers = []
+    c = [1]
+    for i in range(q1):
+        e = FieldElement(d, tuple(c) + (0,) * (r - len(c)), i)
+        elems[e._key] = e
+        powers.append(e)
+        c = _corepy.divmod_(_corepy.mul(c, g, p), f, p)[1]
+    zlog = 2 * q1
+    zero = elems[0] = FieldElement(d, (0,) * r, zlog)
+    # 1 + g^i differs from g^i in the constant coefficient only
+    d._zech = [
+        elems[e._key - e.coeffs[0] + (e.coeffs[0] + 1) % p]._log for e in powers
+    ]
+    d._exp = powers + powers + [zero] * (zlog + 1)
+    d._q1 = q1
+    d._zlog = zlog
+    d._half = 0 if p == 2 else q1 // 2  # log of -1
+    d._elems = elems
+
+
+class FieldElement:
+    """An element of F_{p^r}: coefficients in the basis 1, x, ..., x^(r-1).
+
+    Elements of table-backed fields are interned (one object per value)
+    and carry their discrete log; arithmetic is table lookups.  Elements
+    of fields above _TABLE_CAP are _PolyElement instances.
+    """
+
+    __slots__ = ("descriptor", "coeffs", "_key", "_log", "_hash")
+
+    def __init__(self, descriptor, coeffs, log=None):
+        p = descriptor.p
         self.descriptor = descriptor
         self.coeffs = coeffs
+        self._key = sum(c * p**k for k, c in enumerate(coeffs))
+        self._log = log
+        self._hash = hash((descriptor, coeffs))
 
     def _check(self, other):
         if isinstance(other, int):
@@ -185,35 +277,51 @@ class FieldElement:
         return other
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         d = self.descriptor
-        c = _core.add(list(self.coeffs), list(other.coeffs), d.p)
-        return d.element(c)
+        if other.__class__ is not FieldElement or other.descriptor is not d:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._log, other._log
+        if a == d._zlog:
+            return other
+        if b == d._zlog:
+            return self
+        # g^a + g^b = g^(a + zech(b - a)); a negative index wraps mod q - 1
+        return d._exp[a + d._zech[b - a]]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         d = self.descriptor
-        return d.element(_core.sub(list(self.coeffs), list(other.coeffs), d.p))
+        if other.__class__ is not FieldElement or other.descriptor is not d:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._log, other._log
+        if b == d._zlog:
+            return self
+        b += d._half
+        if b >= d._q1:
+            b -= d._q1
+        if a == d._zlog:
+            return d._exp[b]
+        return d._exp[a + d._zech[b - a]]
 
     def __rsub__(self, other):
         return self.descriptor.element(other) - self
 
     def __neg__(self):
-        return self.descriptor.element(_core.neg(list(self.coeffs), self.descriptor.p))
+        d = self.descriptor
+        return d._exp[self._log + d._half]
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         d = self.descriptor
-        prod = _core.mul(list(self.coeffs), list(other.coeffs), d.p)
-        return d.element(_core.divmod_(prod, list(d.modulus), d.p)[1])
+        if other.__class__ is not FieldElement or other.descriptor is not d:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return d._exp[self._log + other._log]
 
     __rmul__ = __mul__
 
@@ -228,44 +336,52 @@ class FieldElement:
 
     def __pow__(self, e):
         d = self.descriptor
-        if e < 0:
-            return self.inverse() ** (-e)
-        c = _core.powmod(list(self.coeffs), e, list(d.modulus), d.p)
-        return d.element(c)
+        if self._log == d._zlog:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return d._exp[0] if e == 0 else self
+        return d._exp[self._log * e % d._q1]
 
     def inverse(self):
-        if self.is_zero():
+        d = self.descriptor
+        if self._log == d._zlog:
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.descriptor.order - 2)
+        return d._exp[d._q1 - self._log]
 
     def frobenius(self):
-        return self ** self.descriptor.p
+        d = self.descriptor
+        if self._log == d._zlog:
+            return self
+        return d._exp[self._log * d.p % d._q1]
 
     def frobenius_inverse(self):
         """The unique b with b^p = self, i.e. self^(p^(r-1))."""
         d = self.descriptor
-        return self ** (d.p ** (d.r - 1))
+        if self._log == d._zlog:
+            return self
+        return d._exp[self._log * d.p ** (d.r - 1) % d._q1]
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return self._key == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._key != 0
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            return self is other or (
+                self._key == other._key and self.descriptor == other.descriptor
+            )
         if isinstance(other, int):
-            other = self.descriptor.element(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.descriptor == other.descriptor and self.coeffs == other.coeffs
+            return self._key == other % self.descriptor.p
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.descriptor, self.coeffs))
+        return self._hash
 
     def key(self):
         """Serialization-order key (elements sort by this integer)."""
-        p = self.descriptor.p
-        return sum(c * p**k for k, c in enumerate(self.coeffs))
+        return self._key
 
     def multiplicative_order(self):
         if self.is_zero():
@@ -308,6 +424,58 @@ class FieldElement:
         if self.descriptor.r == 1:
             return str(self.coeffs[0])
         return f"{self.descriptor}{list(self.coeffs)}"
+
+
+class _PolyElement(FieldElement):
+    """An element of a field above _TABLE_CAP: polynomial arithmetic."""
+
+    __slots__ = ()
+
+    def _binary(self, other, op):
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
+        d = self.descriptor
+        return d.element(op(list(self.coeffs), list(other.coeffs), d.p))
+
+    def __add__(self, other):
+        return self._binary(other, _corepy.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._binary(other, _corepy.sub)
+
+    def __neg__(self):
+        return self.descriptor.element(_corepy.neg(list(self.coeffs), self.descriptor.p))
+
+    def __mul__(self, other):
+        return self._binary(
+            other,
+            lambda a, b, p: _corepy.divmod_(
+                _corepy.mul(a, b, p), list(self.descriptor.modulus), p
+            )[1],
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e):
+        d = self.descriptor
+        if e < 0:
+            return self.inverse() ** (-e)
+        return d.element(_corepy.powmod(list(self.coeffs), e, list(d.modulus), d.p))
+
+    def inverse(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return self ** (self.descriptor.order - 2)
+
+    def frobenius(self):
+        return self ** self.descriptor.p
+
+    def frobenius_inverse(self):
+        d = self.descriptor
+        return self ** (d.p ** (d.r - 1))
 
 
 @functools.cache
@@ -919,14 +1087,34 @@ def _series_mul_trunc(a, b, upto, zero):
 
 
 def nth_root_in_field(a, m):
-    """Some x with x^m = a in a's field, or None (least in serialization order)."""
+    """The least x (serialization order) with x^m = a in a's field, or None.
+
+    m >= 1.  On a table-backed field x = g^y with m*y = log a mod q - 1:
+    solvable iff g = gcd(m, q - 1) divides log a, and then the g roots
+    are y0 + k(q - 1)/g.
+    """
+    if a.is_zero():
+        return a
+    if a._log is None:
+        return _nth_root_by_scan(a, m)
+    d = a.descriptor
+    g = _gcd_int(m, d._q1)
+    if a._log % g:
+        return None
+    step = d._q1 // g
+    y0 = a._log // g * pow(m // g, -1, step) % step
+    return min((d._exp[y0 + k * step] for k in range(g)), key=FieldElement.key)
+
+
+def _nth_root_by_scan(a, m):
+    """nth_root_in_field by a scan over the field: the path above the table
+    cap, and the oracle the congruence is tested against."""
     if a.is_zero():
         return a
     d = a.descriptor
     q1 = d.order - 1
-    g = _gcd_int(m, q1)
     # solvable iff a^(q1/g) == 1; the m-th power map has image of index g
-    if a ** (q1 // g) != d.one():
+    if a ** (q1 // _gcd_int(m, q1)) != d.one():
         return None
     for cand in d.elements():
         if cand**m == a:

@@ -150,13 +150,18 @@ def search_cmd(p, m, points, r, config_path, out_path):
 def verify(datum_file, config_path, out_path):
     """Re-verify a datum document produced by search."""
     cfg = _merge(_load_config(config_path), datum_file=datum_file)
-    with open(datum_file) as fh:
-        obj = json.load(fh)
-    data = obj if isinstance(obj, list) else [obj]
+    try:
+        with open(datum_file) as fh:
+            obj = json.load(fh)
+        data = obj if isinstance(obj, list) else [obj]
+        datums = [search.DeformationDatum.from_json(item) for item in data]
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise click.UsageError(
+            f"{datum_file} is not a datum document ({type(exc).__name__}: {exc})"
+        )
     entries = []
     all_pass = True
-    for item in data:
-        datum = search.DeformationDatum.from_json(item)
+    for datum in datums:
         checks = search.verify_datum(datum)
         all_pass = all_pass and checks["passed"]
         entries.append({"datum": datum.to_json(), "verification": checks})

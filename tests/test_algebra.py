@@ -1,17 +1,21 @@
 """Field, polynomial, rational function and Laurent series arithmetic."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defdatum import _core, _corepy
+from defdatum import _corepy
 from defdatum.algebra import (
+    _TABLE_CAP,
     INF,
     FieldDescriptor,
     FieldElement,
     LaurentSeries,
     Poly,
     RationalFunction,
+    _nth_root_by_scan,
     nth_root_in_field,
     nth_root_with_extension,
     series_at,
@@ -240,7 +244,8 @@ def test_nth_root_in_field():
     a = F9.generator() ** 2
     r = nth_root_in_field(a, 2)
     assert r is not None and r * r == a
-    assert nth_root_in_field(F9.generator(), 8) is None or True  # may not exist
+    # modulus x^2 + 1: x has order 4, and every y in F_9^x has y^8 = 1
+    assert nth_root_in_field(F9.generator(), 8) is None
 
 
 def test_nth_root_with_extension():
@@ -250,21 +255,92 @@ def test_nth_root_with_extension():
     assert r * r == F3.element(2).embed(F9)
 
 
-# the two polynomial kernels must agree entry for entry
-coeff_lists = st.lists(st.integers(0, 6), max_size=8)
+# table arithmetic against polynomial arithmetic modulo the canonical
+# modulus; F_{2^17} is above the table cap and takes the polynomial path
+ORACLE_FIELDS = [(2, 1), (2, 2), (3, 2), (5, 2), (5, 3), (5, 6), (2, 17)]
 
 
-@settings(max_examples=60)
-@given(coeff_lists, coeff_lists)
-def test_kernel_backends_agree(a, b):
-    p = 7
-    a = _corepy.trim(list(a))
-    b = _corepy.trim(list(b))
-    assert _core.mul(a, b, p) == _corepy.mul(a, b, p)
-    assert _core.add(a, b, p) == _corepy.add(a, b, p)
-    assert _core.sub(a, b, p) == _corepy.sub(a, b, p)
+def field_vectors(d):
+    return st.lists(st.integers(0, d.p - 1), min_size=d.r, max_size=d.r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), st.data())
+def test_table_arithmetic_matches_polynomial_oracle(pr, data):
+    d = FieldDescriptor.get(*pr)
+    p, r, q, f = d.p, d.r, d.order, list(d.modulus)
+    A = data.draw(field_vectors(d))
+    B = data.draw(field_vectors(d))
+    a, b = d.element(A), d.element(B)
+
+    def red(c):
+        return _corepy.divmod_(c, f, p)[1]
+
+    def check(x, c):
+        assert x.coeffs == tuple(c) + (0,) * (r - len(c))
+
+    assert d.element(A) is a or q > _TABLE_CAP  # interned below the cap
+    assert a.key() == sum(c * p**k for k, c in enumerate(A))
+    assert hash(a) == hash((d, a.coeffs)) and hash(d) == hash((p, r, d.modulus))
+    check(a + b, _corepy.add(A, B, p))
+    check(a - b, _corepy.sub(A, B, p))
+    check(-a, _corepy.neg(A, p))
+    check(a * b, red(_corepy.mul(A, B, p)))
     if b:
-        assert tuple(_core.divmod_(a, b, p)) == tuple(_corepy.divmod_(a, b, p))
-        assert _core.gcd_(a, b, p) == _corepy.gcd_(a, b, p)
-        assert _core.powmod(a, 11, b, p) == _corepy.powmod(a, 11, b, p)
-    assert _core.eval_(a, 3, p) == _corepy.eval_(a, 3, p)
+        inv = _corepy.powmod(B, q - 2, f, p)
+        check(b.inverse(), inv)
+        check(a / b, red(_corepy.mul(A, inv, p)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    e = data.draw(st.integers(-3 * q, 3 * q))
+    if e >= 0:
+        check(a**e, _corepy.powmod(A, e, f, p))
+    elif a:
+        check(a**e, _corepy.powmod(_corepy.powmod(A, q - 2, f, p), -e, f, p))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a**e
+    check(a.frobenius(), _corepy.powmod(A, p, f, p))
+    check(a.frobenius_inverse(), _corepy.powmod(A, p ** (r - 1), f, p))
+
+
+@functools.cache
+def least_root_by_polynomials(src, dst):
+    """Coefficients of the least root of src's modulus in dst."""
+    p, f = dst.p, list(dst.modulus)
+    for k in range(dst.order):
+        x = [(k // p**i) % p for i in range(dst.r)]
+        acc = []
+        for c in reversed(src.modulus):
+            acc = _corepy.add(_corepy.divmod_(_corepy.mul(acc, x, p), f, p)[1], [c], p)
+        if not acc:
+            return _corepy.trim(x)
+    raise AssertionError("no root")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([((2, 1), (2, 2)), ((3, 2), (3, 4)), ((5, 2), (5, 6)), ((5, 3), (5, 6))]),
+    st.data(),
+)
+def test_table_embed_matches_polynomial_oracle(pair, data):
+    src, dst = (FieldDescriptor.get(*pr) for pr in pair)
+    A = data.draw(field_vectors(src))
+    p, f = dst.p, list(dst.modulus)
+    rho = least_root_by_polynomials(src, dst)
+    image = []
+    for c in reversed(A):
+        image = _corepy.add(_corepy.divmod_(_corepy.mul(image, rho, p), f, p)[1], [c], p)
+    assert src.element(A).embed(dst).coeffs == tuple(image) + (0,) * (dst.r - len(image))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 1), (3, 2), (5, 2), (7, 1), (5, 3)]), st.data())
+def test_nth_root_congruence_matches_scan(pr, data):
+    d = FieldDescriptor.get(*pr)
+    a = d.element(data.draw(field_vectors(d)))
+    m = data.draw(st.integers(1, 2 * d.order))
+    root = nth_root_in_field(a, m)
+    assert root is _nth_root_by_scan(a, m)
+    assert root is None or root**m == a

@@ -107,6 +107,26 @@ def test_verify_garbage_fails_loudly(runner, tmp_path):
     assert res.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"schema": "defdatum/1"}),
+        json.dumps({"schema": "other"}),
+        json.dumps([{"schema": "defdatum/1", "signature": 3}]),
+        json.dumps(7),
+        "{not json",
+    ],
+)
+def test_verify_malformed_document_is_a_usage_error(runner, tmp_path, text):
+    path = tmp_path / "datum.json"
+    path.write_text(text)
+    res = invoke(runner, "verify", str(path))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "is not a datum document" in res.output
+
+
 def test_cohomology_document_shape(runner):
     res = invoke(runner, "cohomology", "--p", "2", "--seed", "0")
     assert res.exit_code == 0

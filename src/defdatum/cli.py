@@ -198,7 +198,10 @@ def cohomology(p, seed, budget, config_path, out_path):
     vanishing = {}
     for s in (1, 2):
         M = homcoh.coinduced_module(prime, s)
-        dims = homcoh.group_cohomology(M, 2)
+        try:
+            dims = homcoh.group_cohomology(M, 2)
+        except homcoh.CochainBlockTooLarge as exc:
+            raise click.UsageError(f"--p {prime}, s = {s}: {exc}")
         key = f"coinduced_s{s}"
         vanishing[key] = dims
         checks[key] = dims == [M.invariant_dim_at_zero(), 0, 0]

@@ -11,6 +11,7 @@ heavy lifting is plain Gaussian elimination mod p on numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -169,6 +170,7 @@ def euler_characteristic(C):
 # Cech cohomology of O(d) on P^1
 
 
+@functools.cache
 def cech_line_bundle(p, d, window=None):
     """(h0, h1) of O(d) on P^1 from the explicit two-chart Cech complex.
 
@@ -176,7 +178,9 @@ def cech_line_bundle(p, d, window=None):
     the chart at infinity are x^{d-N}..x^d, sections on the overlap are
     the Laurent monomials spanning both ranges; the differential is
     (f, g) -> f - g.  N defaults to |d| + 2, which is past the point
-    where the answer stabilizes.
+    where the answer stabilizes.  Memoized per (p, d, window): the
+    result is an immutable pair, and the uncached complex stays
+    reachable as ``cech_line_bundle.__wrapped__``.
     """
     N = window if window is not None else abs(d) + 2
     chart0 = list(range(0, N + 1))
@@ -366,16 +370,35 @@ def _invariant_basis(M, basis):
     return out
 
 
+# Most entries of one dense differential block group_cochain_complex
+# builds: 2^25 int64 entries are 256 MiB.  At p = 3, s = 2 the coinduced
+# module needs 6561 x 729 (4.8 M entries) and a module of dimension 18
+# 13122 x 1458 (19.1 M); O_G at p = 5 would need 390625 x 15625 (45.5 GiB).
+COCHAIN_BLOCK_LIMIT = 2**25
+
+
+class CochainBlockTooLarge(Exception):
+    pass
+
+
 def group_cochain_complex(M, nmax):
     """The H-invariant cochain complex of G = G_0 x| H in degrees 0..nmax+1.
 
     C^n(G_0, M) = O_G^{tensor n} (tensor) M in the character basis; the
     H-invariants functor is applied degreewise (exact because |H| is
     prime to p), which computes the cohomology of the semidirect
-    product.
+    product.  Raises CochainBlockTooLarge, before building any basis,
+    when the last differential, |C^{nmax+1}| x |C^{nmax}| with
+    |C^n| = (p^s)^n dim M, exceeds COCHAIN_BLOCK_LIMIT entries.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
+    rows, cols = (M.p ** (M.s * n) * M.total_dim() for n in (nmax + 1, nmax))
+    if rows * cols > COCHAIN_BLOCK_LIMIT:
+        raise CochainBlockTooLarge(
+            f"the degree-{nmax} differential would be a dense {rows} x {cols} "
+            f"block, above the limit of {COCHAIN_BLOCK_LIMIT} entries"
+        )
     degree_data = []
     for n in range(nmax + 2):
         basis = _cochain_basis(M, n)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -30,6 +31,8 @@ from . import homcoh
 
 
 def multiplicative_order(p, m):
+    if m < 1:  # p % m is never 1 for m < 0: the loop below would not end
+        raise ValueError("m must be a positive integer")
     if m == 1:
         return 1
     if gcd(p, m) != 1:
@@ -50,38 +53,49 @@ class SigPoint:
 
 @dataclass(frozen=True)
 class Signature:
+    """s and the orbits are computed once, on first use; lazily, so that a
+    signature with p not invertible mod m can still be built and validated.
+    """
+
     p: int
     m: int
     points: tuple
 
-    @property
+    @cached_property
     def s(self):
         return multiplicative_order(self.p, self.m)
+
+    @cached_property
+    def orbits(self):
+        """orbits[j] = (b_j^(0), ..., b_j^(s-1)) with b^(i+1) = p b^(i) mod m."""
+        p, m, s = self.p, self.m, self.s
+        out = []
+        for pt in self.points:
+            b, orbit = pt.b0 % m, []
+            for _ in range(s):
+                orbit.append(b)
+                b = (b * p) % m
+            out.append(tuple(orbit))
+        return tuple(out)
 
     @property
     def n_points(self):
         return len(self.points)
 
     def orbit(self, j):
-        """(b_j^(0), ..., b_j^(s-1)) with b^(i) = p^i b^(0) mod m."""
-        b = self.points[j].b0 % self.m
-        out = []
-        for _ in range(self.s):
-            out.append(b)
-            b = (b * self.p) % self.m
-        return tuple(out)
+        return self.orbits[j]
 
     def m_j(self, j):
         return self.m // gcd(self.m, self.points[j].b0 % self.m)
 
     def sigma(self, j, i):
-        return Fraction(self.orbit(j)[i % self.s], self.m) + self.points[j].nu
+        return Fraction(self.orbits[j][i % self.s], self.m) + self.points[j].nu
 
     def a(self, j, i):
-        frac = self.sigma(j, i) - self.points[j].nu
-        val = self.m_j(j) * frac
-        assert val.denominator == 1
-        return int(val)
+        """m_j frac(sigma^(i)) = b^(i) m_j / m, an integer."""
+        val, rem = divmod(self.m_j(j) * self.orbits[j][i % self.s], self.m)
+        assert rem == 0
+        return val
 
     def a_min(self, j):
         return min(self.a(j, i) for i in range(self.s))
@@ -126,13 +140,9 @@ class ValidationReport:
         return self.passed
 
 
-def validate_signature(sig):
-    """All admissibility identities, with a detailed failure list."""
+def _structural_failures(sig):
+    """Failures of the ranges, roles and the nu = 0 / nu = 1 split."""
     fails = []
-    if gcd(sig.p, sig.m) != 1:
-        fails.append("p not invertible mod m")
-        return ValidationReport(tuple(fails))
-    s = sig.s
     for j, pt in enumerate(sig.points):
         if pt.nu not in (0, 1):
             fails.append(f"point {j}: nu outside {{0,1}}")
@@ -151,6 +161,45 @@ def validate_signature(sig):
             fails.append(f"point {j}: new point with nu != 1")
         if sig.points[j].b0 % sig.m == 0:
             fails.append(f"point {j}: new point with b0 = 0 (wild outside the base triple)")
+    return fails
+
+
+def validate_signature(sig):
+    """All admissibility identities, with a detailed failure list.
+
+    Each identity on the slopes sigma^(i) = nu + b^(i)/m is checked
+    multiplied by m, as an identity of integers; a Fraction is built
+    only to word a failure.
+    """
+    if gcd(sig.p, sig.m) != 1:
+        return ValidationReport(("p not invertible mod m",))
+    fails = _structural_failures(sig)
+    p, m, s, orbits = sig.p, sig.m, sig.s, sig.orbits
+    # m * sum_j (sigma_j^(i) - 1) = sum_j b_j^(i) + m (sum_j nu_j - n)
+    shift = m * (sum(pt.nu for pt in sig.points) - sig.n_points)
+    for i in range(s):
+        total = sum(orbit[i] for orbit in orbits) + shift
+        if total != -2 * m:
+            fails.append(
+                f"level {i}: sum of (sigma - 1) is {Fraction(total, m)}, expected -2"
+            )
+    powers = [pow(p, i, m) for i in range(s)]
+    for j, (pt, orbit) in enumerate(zip(sig.points, orbits)):
+        for i in range(s):
+            # frac(sigma^(i)) = frac(p^i sigma^(0))
+            if orbit[i] != powers[i] * orbit[0] % m:
+                fails.append(f"point {j}, level {i}: fractional orbit identity broken")
+            if pt.nu * m + orbit[i] == m:
+                fails.append(f"point {j}, level {i}: sigma = 1 is forbidden")
+    return ValidationReport(tuple(fails))
+
+
+def _validate_signature_by_fractions(sig):
+    """Test oracle for `validate_signature`: the identities in Fractions."""
+    if gcd(sig.p, sig.m) != 1:
+        return ValidationReport(("p not invertible mod m",))
+    fails = _structural_failures(sig)
+    s = sig.s
     for i in range(s):
         total = sum((sig.sigma(j, i) - 1) for j in range(sig.n_points))
         if total != -2:
@@ -170,8 +219,7 @@ def validate_signature(sig):
 def is_pure(sig):
     """Sum of b^(i) over all points equals m at every level."""
     return all(
-        sum(sig.orbit(j)[i] for j in range(sig.n_points)) == sig.m
-        for i in range(sig.s)
+        sum(orbit[i] for orbit in sig.orbits) == sig.m for i in range(sig.s)
     )
 
 
@@ -198,10 +246,9 @@ def is_special(sig):
     b0 = sig.b0_indices()
     special = report.passed and len(b0) == 3
     pure = is_pure(sig) if special else False
+    # int(sigma) truncates toward zero: int(nu + b/m) = nu unless nu < 0 < b
     nu_constant = all(
-        int(sig.sigma(j, i)) == sig.points[j].nu
-        for j in range(sig.n_points)
-        for i in range(sig.s)
+        pt.nu >= 0 or not any(orbit) for pt, orbit in zip(sig.points, sig.orbits)
     )
     return SpecialReport(special and pure and nu_constant, b0, pure, nu_constant)
 
@@ -225,19 +272,9 @@ def _canonical_key(orbit):
 
 def canonicalize(sig):
     """Base-triple slots sorted by orbit (descending), then new points."""
-    b0 = sorted((sig.points[j] for j in sig.b0_indices()),
-                key=lambda pt: _canonical_key(_orbit_of(sig, pt)))
-    new = sorted((sig.points[j] for j in sig.new_indices()),
-                 key=lambda pt: _canonical_key(_orbit_of(sig, pt)))
-    return Signature(sig.p, sig.m, tuple(b0 + new))
-
-
-def _orbit_of(sig, pt):
-    b, out = pt.b0 % sig.m, []
-    for _ in range(sig.s):
-        out.append(b)
-        b = (b * sig.p) % sig.m
-    return tuple(out)
+    order = sorted(sig.b0_indices(), key=lambda j: _canonical_key(sig.orbits[j]))
+    order += sorted(sig.new_indices(), key=lambda j: _canonical_key(sig.orbits[j]))
+    return Signature(sig.p, sig.m, tuple(sig.points[j] for j in order))
 
 
 def _check_enumeration_args(p, m, n_points):
@@ -272,7 +309,7 @@ def _admissible(p, m, candidates):
         seen.add(sig.points)
         if validate_signature(sig).passed:
             out.append(sig)
-    out.sort(key=lambda sg: tuple(_canonical_key(sg.orbit(j)) for j in range(sg.n_points)))
+    out.sort(key=lambda sg: tuple(map(_canonical_key, sg.orbits)))
     return out
 
 
@@ -314,8 +351,10 @@ def derived_invariants(sig):
 
     The genus of the cover Z comes from Riemann-Hurwitz over the local
     indices m_j; the isotypic degree at level i is minus the sum of the
-    fractional parts of sigma^(i); the (h0, h1) pairs are delegated to
-    the two-chart Cech complex.
+    fractional parts of sigma^(i); the (h0, h1) pairs come from the
+    two-chart Cech complex through `homcoh.cech_line_bundle`, which is
+    memoized per (p, d): a table of signatures asks for a handful of
+    degrees many times, and each is ranked once per process.
     """
     m = sig.m
     ram = sum((m // sig.m_j(j)) * (sig.m_j(j) - 1) for j in range(sig.n_points))
@@ -324,7 +363,7 @@ def derived_invariants(sig):
         raise ArithmeticError("Riemann-Hurwitz parity failure")
     degrees = []
     for i in range(sig.s):
-        total = sum(sig.orbit(j)[i] for j in range(sig.n_points))
+        total = sum(orbit[i] for orbit in sig.orbits)
         if total % m:
             raise ArithmeticError(f"level {i}: residues do not sum to 0 mod m")
         degrees.append(-(total // m))

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, determinism, config handling."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -115,6 +116,10 @@ def test_verify_garbage_fails_loudly(runner, tmp_path):
         json.dumps([{"schema": "defdatum/1", "signature": 3}]),
         json.dumps(7),
         "{not json",
+        # m < 0 made ord_m(p) loop forever
+        json.dumps(
+            {"schema": "defdatum/1", "signature": {"p": 2, "m": -3, "s": 2, "points": []}}
+        ),
     ],
 )
 def test_verify_malformed_document_is_a_usage_error(runner, tmp_path, text):
@@ -135,6 +140,17 @@ def test_cohomology_document_shape(runner):
     assert doc["cech"]["-1"] == [0, 0]
     assert doc["cech"]["2"] == [3, 0]
     assert all(doc["checks"].values())
+
+
+def test_cohomology_beyond_the_dense_block_limit_is_a_usage_error(runner):
+    t0 = time.perf_counter()
+    res = invoke(runner, "cohomology", "--p", "5")
+    elapsed = time.perf_counter() - t0
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "390625 x 15625" in res.output
+    assert elapsed < 1.0  # refused before any block is built
 
 
 def test_rigidity_subcommand(runner):

@@ -86,18 +86,29 @@ def test_cohomology_dims_two_term():
     assert cohomology_dims(C) == [1, 1]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("d", range(-6, 7))
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", range(-8, 9))
 def test_cech_matches_riemann_roch_on_the_line(p, d):
     h0, h1 = cech_line_bundle(p, d)
     assert h0 == max(d + 1, 0)
     assert h1 == max(-d - 1, 0)
     assert h0 - h1 == d + 1  # Euler characteristic
+    # the memo agrees with the complex itself, on a miss and on a hit
+    assert cech_line_bundle.__wrapped__(p, d) == (h0, h1) == cech_line_bundle(p, d)
 
 
 def test_cech_window_stability():
     for window in (8, 12, 20):
         assert cech_line_bundle(3, -4, window=window) == (0, 3)
+        assert cech_line_bundle.__wrapped__(3, -4, window=window) == (0, 3)
+
+
+def test_cochain_block_limit_is_checked_before_any_basis():
+    p3 = coinduced_module(3, 2)  # the largest block that is built, 6561 x 729
+    assert 6561 * 729 <= homcoh.COCHAIN_BLOCK_LIMIT
+    assert group_cohomology(p3, 2) == [1, 0, 0]
+    with pytest.raises(homcoh.CochainBlockTooLarge, match="390625 x 15625"):
+        homcoh.group_cochain_complex(coinduced_module(5, 2), 2)
 
 
 @pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (3, 1), (3, 2)])

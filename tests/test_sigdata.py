@@ -39,6 +39,8 @@ def test_multiplicative_order():
     assert multiplicative_order(2, 7) == 3
     with pytest.raises(ValueError):
         multiplicative_order(3, 6)
+    with pytest.raises(ValueError):
+        multiplicative_order(2, -3)
 
 
 def test_golden_signature_is_admissible_and_special():
@@ -160,6 +162,105 @@ def test_enumerated_signatures_satisfy_the_identities(pm, n_points):
         rep = is_special(sig)
         assert rep.special
         assert rep.pure and rep.nu_constant  # specialty forces both
+
+
+# Fraction forms of the integer identities, oracles for the tests below
+
+
+def _a_by_fractions(sig, j, i):
+    val = sig.m_j(j) * (sig.sigma(j, i) - sig.points[j].nu)
+    assert val.denominator == 1
+    return int(val)
+
+
+def _is_pure_by_fractions(sig):
+    return all(
+        sum(sig.sigma(j, i) - sig.points[j].nu for j in range(sig.n_points)) == 1
+        for i in range(sig.s)
+    )
+
+
+def _is_special_by_fractions(sig):
+    report = sigdata._validate_signature_by_fractions(sig)
+    b0 = sig.b0_indices()
+    special = report.passed and len(b0) == 3
+    pure = _is_pure_by_fractions(sig) if special else False
+    nu_constant = all(
+        int(sig.sigma(j, i)) == sig.points[j].nu
+        for j in range(sig.n_points)
+        for i in range(sig.s)
+    )
+    return sigdata.SpecialReport(special and pure and nu_constant, b0, pure, nu_constant)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # p not invertible mod m
+        return ("ValueError", str(exc))
+
+
+def assert_integer_forms_match_fractions(sig):
+    assert validate_signature(sig) == sigdata._validate_signature_by_fractions(sig)
+    assert _outcome(is_pure, sig) == _outcome(_is_pure_by_fractions, sig)
+    assert _outcome(is_special, sig) == _outcome(_is_special_by_fractions, sig)
+    if gcd(sig.p, sig.m) != 1:
+        with pytest.raises(ValueError):
+            sig.a_min(0)
+        return
+    for j in range(sig.n_points):
+        assert sig.a_min(j) == min(_a_by_fractions(sig, j, i) for i in range(sig.s))
+        for i in range(2 * sig.s):
+            assert sig.a(j, i) == _a_by_fractions(sig, j, i)
+
+
+@st.composite
+def malformed_signatures(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    m = draw(st.integers(1, 12))
+    points = draw(st.lists(
+        st.builds(
+            SigPoint,
+            st.sampled_from(["B0", "new", "other"]),
+            st.integers(-1, 2),
+            st.integers(-1, m),
+        ),
+        min_size=3,
+        max_size=6,
+    ))
+    return Signature(p, m, tuple(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_signatures())
+@example(Signature(3, 6, GOLDEN.points))  # p not invertible mod m
+@example(sig_of(3, 2, (1, 1, 1)))  # level sum 3/2 - 3 = -3/2
+@example(Signature(3, 4, (SigPoint("B0", -1, 1),) + GOLDEN.points[1:]))  # nu < 0 < b
+@example(Signature(5, 4, (SigPoint("B0", 2, 3), SigPoint("new", 1, 0), SigPoint("x", 0, 4))))
+def test_integer_identities_match_fractions_on_malformed_signatures(sig):
+    assert_integer_forms_match_fractions(sig)
+
+
+def test_integer_identities_match_fractions_on_enumerated_signatures():
+    count = 0
+    for p in (2, 3, 5, 7, 11):
+        for m in range(1, 10):
+            if gcd(p, m) != 1:
+                continue
+            for n_points in range(3, 7):
+                for sig in enumerate_signatures(p, m, n_points):
+                    assert_integer_forms_match_fractions(sig)
+                    count += 1
+    assert count > 200
+
+
+def test_derived_data_is_cached_per_instance():
+    sig = sig_of(3, 4, (3, 0, 0), new=(1,))
+    assert sig.orbits is sig.orbits and sig.orbit(3) is sig.orbits[3]
+    assert sig == sig_of(3, 4, (3, 0, 0), new=(1,))
+    assert hash(sig) == hash(sig_of(3, 4, (3, 0, 0), new=(1,)))
+    not_invertible = Signature(3, 6, GOLDEN.points)  # s is lazy: this builds
+    assert validate_signature(not_invertible).failures == ("p not invertible mod m",)
 
 
 def test_derived_invariants_golden():

@@ -198,10 +198,7 @@ def cohomology(p, seed, budget, config_path, out_path):
     vanishing = {}
     for s in (1, 2):
         M = homcoh.coinduced_module(prime, s)
-        try:
-            dims = homcoh.group_cohomology(M, 2)
-        except homcoh.CochainBlockTooLarge as exc:
-            raise click.UsageError(f"--p {prime}, s = {s}: {exc}")
+        dims = homcoh.group_cohomology(M, 2)
         key = f"coinduced_s{s}"
         vanishing[key] = dims
         checks[key] = dims == [M.invariant_dim_at_zero(), 0, 0]
@@ -224,7 +221,13 @@ def cohomology(p, seed, budget, config_path, out_path):
                         M[a, b] = rng.randrange(prime)
             mats.append(M)
         cx = homcoh.CochainComplex(prime, tuple(sizes), tuple(mats), start_degree=-1)
-        inv = homcoh.pic_invariants(cx, budget=cfg["budget"])
+        try:
+            inv = homcoh.pic_invariants(cx, budget=cfg["budget"])
+        except homcoh.EnumerationBudgetExceeded as exc:
+            raise click.UsageError(
+                f"--budget {cfg['budget']} is too small for Picard trial {trial} "
+                f"(graded pieces of sizes {sizes} over F_{prime}): {exc}"
+            )
         dims = homcoh.cohomology_dims(cx)
         ok = len(inv.pi0) == dims[2] and len(inv.aut) == dims[1]
         pic.append({"dims": sizes, "pi0": len(inv.pi0), "aut": len(inv.aut)})

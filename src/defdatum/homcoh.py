@@ -5,8 +5,12 @@ complex of a line bundle on P^1, cochain cohomology of diagonalizable
 group schemes (with a tame cyclic group acting), and Picard-category
 invariants obtained by explicit enumeration.
 
-Everything here is over F_p with matrices of small exact integers; the
-heavy lifting is plain Gaussian elimination mod p on numpy arrays.
+Everything here is over F_p with matrices of small exact integers,
+ranked by Gaussian elimination mod p on numpy arrays.  Group cohomology
+never builds a differential over a whole degree: the cochain complex
+splits into blocks keyed by (collapsed word, basis vector), every block
+with l letter changes is one small standard complex K_l, and the
+H-invariants are counted per orbit of blocks (``group_cochain_blocks``).
 """
 
 from __future__ import annotations
@@ -309,13 +313,14 @@ def coinduced_module(p, s):
 
 
 def _cochain_basis(M, n):
-    """Basis of C^n(G, M) = O_G^{tensor n} (tensor) M in the character basis."""
-    chars = list(M.characters())
-    return [
-        (*phis, b)
-        for phis in itertools.product(chars, repeat=n)
-        for b in M.basis()
-    ]
+    """Basis of C^n(G, M) = O_G^{tensor n} (tensor) M in the character basis.
+
+    A generator: C^n has (p^s)^n dim M keys, 390625 at p = 5, s = 2, n = 3.
+    """
+    basis = M.basis()
+    for phis in itertools.product(M.characters(), repeat=n):
+        for b in basis:
+            yield (*phis, b)
 
 
 def _cochain_differential(M, n, v):
@@ -370,38 +375,21 @@ def _invariant_basis(M, basis):
     return out
 
 
-# Most entries of one dense differential block group_cochain_complex
-# builds: 2^25 int64 entries are 256 MiB.  At p = 3, s = 2 the coinduced
-# module needs 6561 x 729 (4.8 M entries) and a module of dimension 18
-# 13122 x 1458 (19.1 M); O_G at p = 5 would need 390625 x 15625 (45.5 GiB).
-COCHAIN_BLOCK_LIMIT = 2**25
-
-
-class CochainBlockTooLarge(Exception):
-    pass
-
-
 def group_cochain_complex(M, nmax):
     """The H-invariant cochain complex of G = G_0 x| H in degrees 0..nmax+1.
 
     C^n(G_0, M) = O_G^{tensor n} (tensor) M in the character basis; the
     H-invariants functor is applied degreewise (exact because |H| is
     prime to p), which computes the cohomology of the semidirect
-    product.  Raises CochainBlockTooLarge, before building any basis,
-    when the last differential, |C^{nmax+1}| x |C^{nmax}| with
-    |C^n| = (p^s)^n dim M, exceeds COCHAIN_BLOCK_LIMIT entries.
+    product.  Every degree's (p^s)^n dim M cochains are listed and each
+    differential is one dense matrix over the invariants of a whole
+    degree: this is the test oracle for ``group_cochain_blocks``.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    rows, cols = (M.p ** (M.s * n) * M.total_dim() for n in (nmax + 1, nmax))
-    if rows * cols > COCHAIN_BLOCK_LIMIT:
-        raise CochainBlockTooLarge(
-            f"the degree-{nmax} differential would be a dense {rows} x {cols} "
-            f"block, above the limit of {COCHAIN_BLOCK_LIMIT} entries"
-        )
     degree_data = []
     for n in range(nmax + 2):
-        basis = _cochain_basis(M, n)
+        basis = list(_cochain_basis(M, n))
         inv = _invariant_basis(M, basis)
         degree_data.append((basis, inv))
     dims = tuple(len(inv) for _, inv in degree_data)
@@ -421,10 +409,113 @@ def group_cochain_complex(M, nmax):
     return CochainComplex(M.p, dims, tuple(mats))
 
 
+def _collapsed_words(chars, psi, ell):
+    """Words (0, c_1, ..., c_ell = psi) with no two equal neighbours."""
+    zero = chars[0]
+    if ell == 0:
+        if psi == zero:
+            yield (zero,)
+        return
+    for mid in itertools.product(chars, repeat=ell - 1):
+        word = (zero, *mid, psi)
+        if all(x != y for x, y in zip(word, word[1:])):
+            yield word
+
+
+def _invariant_blocks(M, nmax):
+    """{l: [orbit count, representative (word, b)]} for the H-invariant blocks.
+
+    A block is a collapsed word (0, ..., psi) with l <= nmax + 1 letter
+    changes and a basis vector b of M of character psi.  The generator
+    of H maps the block (w, b) to (T.w, g.b), times the scalar of b; an
+    orbit of blocks carries invariants iff the scalar around its cycle
+    is 1, and then exactly one copy of its block.  Each orbit is counted
+    once, at its least member, so no set of seen blocks is kept.
+    """
+    chars = list(M.characters())
+    T = {phi: M.apply_T(phi) for phi in chars}
+    basis = M.basis()
+    act = {b: M.act_generator(b) for b in basis}
+    found = {}
+    for b in basis:
+        for ell in range(nmax + 2):
+            for word in _collapsed_words(chars, b[0], ell):
+                start = cur = (word, b)
+                scalar = 1
+                while True:
+                    sc, gb = act[cur[1]]
+                    cur = (tuple(T[phi] for phi in cur[0]), gb)
+                    scalar = (scalar * sc) % M.p
+                    if cur <= start:
+                        break
+                if cur == start and scalar == 1:
+                    found.setdefault(ell, [0, start])[0] += 1
+    return found
+
+
+def _block_complex(M, word, b, nmax, differential=None):
+    """The block of (word, b) in degrees 0..nmax+1, as a CochainComplex.
+
+    Degree n holds the C(n+1, l) cochains whose word (0, phi_1, ...,
+    phi_n, psi) collapses to ``word``: one per way to stretch its l + 1
+    runs to length n + 2.  Raises ValueError when the differential
+    leaves the block or, through CochainComplex, when d.d != 0.
+    ``differential`` may override the cochain differential (used as a
+    negative control in tests).
+    """
+    dmap = differential if differential is not None else _cochain_differential
+    ell = len(word) - 1
+    bases = []
+    for n in range(nmax + 2):
+        keys = []
+        for cuts in itertools.combinations(range(1, n + 2), ell):
+            bounds = (0, *cuts, n + 2)
+            runs = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+            stretched = [letter for letter, r in zip(word, runs) for _ in range(r)]
+            keys.append((*stretched[1:-1], b))
+        bases.append(keys)
+    mats = []
+    for n in range(nmax + 1):
+        index = {k: i for i, k in enumerate(bases[n + 1])}
+        D = np.zeros((len(bases[n + 1]), len(bases[n])), dtype=np.int64)
+        for col, key in enumerate(bases[n]):
+            for k, c in dmap(M, n, {key: 1}).items():
+                if k not in index:
+                    raise ValueError(f"d{n} maps {key} out of the block of {word}")
+                D[index[k], col] = c
+        mats.append(D)
+    return CochainComplex(M.p, tuple(len(keys) for keys in bases), tuple(mats))
+
+
+def group_cochain_blocks(M, nmax):
+    """``group_cochain_complex`` as a direct sum: [(multiplicity, K_l)].
+
+    Every term of d(phi_1 ... phi_n, b) duplicates one letter of the word
+    (0, phi_1, ..., phi_n, psi), so the collapsed word and b are
+    invariant under d and the complex splits into blocks.  A block's
+    differential depends only on the run lengths of its words, so all
+    blocks with l letter changes are one complex K_l, built once here
+    from a representative block; the H-invariant complex is the sum of
+    one K_l per invariant orbit of blocks (``_invariant_blocks``).  The
+    sum agrees with ``group_cochain_complex`` in degrees 0..nmax; the
+    blocks with l = nmax + 2, which start in degree nmax + 1 and meet no
+    differential there, are left out.
+    """
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
+    return [
+        (count, _block_complex(M, word, b, nmax))
+        for _, (count, (word, b)) in sorted(_invariant_blocks(M, nmax).items())
+    ]
+
+
 def group_cohomology(M, nmax):
-    """dim H^n(G, M) for n = 0..nmax."""
-    C = group_cochain_complex(M, nmax)
-    return cohomology_dims(C)[: nmax + 1]
+    """dim H^n(G, M) for n = 0..nmax, summed over ``group_cochain_blocks``."""
+    dims = [0] * (nmax + 1)
+    for count, K in group_cochain_blocks(M, nmax):
+        for n, h in enumerate(cohomology_dims(K)[: nmax + 1]):
+            dims[n] += count * h
+    return dims
 
 
 def _resolution_differential(M, n, v):

@@ -2,7 +2,7 @@
 
 import itertools
 import time
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -105,6 +105,28 @@ def test_cech_window_stability():
     for window in (8, 12, 20):
         assert cech_line_bundle(3, -4, window=window) == (0, 3)
         assert cech_line_bundle.__wrapped__(3, -4, window=window) == (0, 3)
+
+
+def test_cochain_block_limit_is_checked_before_any_basis(monkeypatch):
+    # at p = 5 the dense complex needed a 390625 x 15625 block; the block
+    # path builds no cochain basis and ranks only differentials of the
+    # K_l, C(n+2, l) x C(n+1, l) for n <= nmax
+    def no_basis(M, n):
+        raise AssertionError(f"a degree-{n} cochain basis was built")
+
+    shapes = []
+
+    def recording_rank(A, p):
+        shapes.append(np.shape(A))
+        return rank_mod_p(A, p)
+
+    monkeypatch.setattr(homcoh, "_cochain_basis", no_basis)
+    monkeypatch.setattr(homcoh, "rank_mod_p", recording_rank)
+    assert group_cohomology(coinduced_module(5, 2), 2) == [1, 0, 0]
+    limit = max(comb(n + 2, ell) * comb(n + 1, ell) for n in range(3) for ell in range(4))
+    assert limit == 6 * 3
+    assert shapes
+    assert max(rows * cols for rows, cols in shapes) <= limit
 
 
 def test_group_cohomology_of_O_G_at_p5_in_bounded_time():

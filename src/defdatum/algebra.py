@@ -105,8 +105,8 @@ def _canonical_modulus(p, r):
 
 
 # Fields with at most this many elements run on lookup tables; larger ones
-# (reached only through big extensions in nth_root_with_extension and
-# search.normalize_epsilons) keep polynomial arithmetic modulo the modulus.
+# (reached only through big extensions in nth_root_with_extension) keep
+# polynomial arithmetic modulo the modulus.
 _TABLE_CAP = 1 << 16
 
 
@@ -1126,16 +1126,17 @@ def nth_root_with_extension(a, m):
     """An m-th root of a, extending the field minimally if needed.
 
     Returns (root, descriptor); the root is the least one (serialization
-    order) in the smallest extension F_{p^{r*k}} that contains any.
+    order) in the smallest extension F_Q, Q = p^{rk}, that contains any:
+    the least k with ord(a) | (Q - 1)/gcd(m, Q - 1), found in integers.
+    It is at most m, the degree of x^m - a, so there is no error path.
     """
     d = a.descriptor
-    for k in range(1, m + 1):
-        target = FieldDescriptor.get(d.p, d.r * k)
-        b = a.embed(target)
-        root = nth_root_in_field(b, m)
-        if root is not None:
-            return root, target
-    raise ArithmeticError("no m-th root found in extensions up to degree m")
+    order = a.multiplicative_order() if a else 1
+    k = 1
+    while (d.p ** (d.r * k) - 1) % (order * _gcd_int(m, d.p ** (d.r * k) - 1)):
+        k += 1
+    target = FieldDescriptor.get(d.p, d.r * k)
+    return nth_root_in_field(a.embed(target), m), target
 
 
 def _gcd_int(a, b):

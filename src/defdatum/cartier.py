@@ -10,6 +10,22 @@ by the eigenform constants).
 Local expansions at critical points run over dual-number coefficients
 throughout (a pair of plain series); the purely algebraic callers just
 leave the epsilon channel zero.
+
+Precision comes from valuations, and nothing is retried.  An expansion
+at the center c is built once from series of
+
+    L = max(upto, v) - v + 1 + [c finite] m_c (1 + D + [delta_c != 0])
+
+terms: v is the least ``ord_single_form`` (the exact order of a term
+h_l z_l dx) over the nonzero h_l and theta_l, m_c the ramification
+index at c and D the largest multiplicity of tau_c in their numerators
+and denominators.  Products, inverses and m-th roots of series keep the
+least relative precision of their factors.  It is lost only by the
+factor x - tau_c = t^{m_c} of the radicand (m_c), by a polynomial with a
+D-fold zero at tau_c (m_c D, and m_c more at tau_c = 0, where x itself
+starts at t^{m_c}), and in the epsilon channel of a moving center, whose
+part delta_c P'(x) starts m_c below P(x) (m_c); nothing is lost at
+infinity.  So every coefficient through ``upto`` is exact.
 """
 
 from __future__ import annotations
@@ -17,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import (
     INF,
@@ -24,7 +41,7 @@ from .algebra import (
     LaurentSeries,
     Poly,
     RationalFunction,
-    nth_root_in_field,
+    nth_root_with_extension,
 )
 
 _BIG = 10**9
@@ -127,8 +144,6 @@ class KummerCover:
         return self.orbits[key]
 
     def m_at(self, key):
-        from math import gcd
-
         b = self.orbit_at(key)[0]
         return self.m // gcd(self.m, b) if b else 1
 
@@ -316,7 +331,7 @@ def phi_basis(datum, generator_power=None):
         candidates = [gamma]
     else:
         candidates = [
-            gamma0**k for k in range(1, cover.m) if _gcd(k, cover.m) == 1
+            gamma0**k for k in range(1, cover.m) if gcd(k, cover.m) == 1
         ]
         # the fixed space only needs c in F_{p^s} with independent
         # conjugates; fall back to a normal-basis generator when no
@@ -342,12 +357,6 @@ def phi_basis(datum, generator_power=None):
             out.append(FormCombination(omegas.cover, hs))
         return out
     raise ArithmeticError("no scalar yields an F_p-independent fixed basis")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _primitive_root_of_unity(descriptor, m):
@@ -421,16 +430,7 @@ class DSer:
         if e < 0:
             return self.inverse().power(-e)
         # give the unit a wide window so it does not truncate products
-        result = DSer(
-            LaurentSeries(
-                self.descriptor,
-                None,
-                0,
-                [self.descriptor.one()]
-                + [self.descriptor.zero()] * max(0, self.base.trunc - self.base.start),
-            ),
-            _zero_series(self.descriptor),
-        )
+        result = _monomial(self.descriptor, 1, 0, max(0, self.base.trunc - self.base.start) + 1)
         base = self
         while e:
             if e & 1:
@@ -474,6 +474,12 @@ def _const_dser(descriptor, value, eps_value=None, length=1):
     return DSer(base, eps)
 
 
+def _monomial(descriptor, c, k, length):
+    """c t^k, known through order k + length - 1, with a zero epsilon part."""
+    coeffs = [descriptor.element(c)] + [descriptor.zero()] * (length - 1)
+    return DSer(LaurentSeries(descriptor, None, k, coeffs), _zero_series(descriptor))
+
+
 def _eval_poly_dser(poly, x):
     d = poly.descriptor
     acc = None
@@ -506,117 +512,91 @@ def expand_combination(cover, hs, center, upto, delta=None, eps_hs=None):
     The branch of z_0 is fixed by the least m-th root (serialization
     order) of the leading constant; higher levels follow from the
     Frobenius recursion, so all levels use consistent branches.
+
+    Every series has L = max(upto, v) - v + 1 + [c finite] m_c (1 + D +
+    [delta_c != 0]) terms, from the valuations named and justified in the
+    module docstring.  The expansion is built once; there is no retry,
+    and a window ending below ``upto`` raises ArithmeticError.
     """
-    d = cover.descriptor
     delta = delta or {}
+    fs = [f for f in (*hs, *(eps_hs or ())) if not f.is_zero()]
+    orders = _term_orders(cover, hs, center) + _term_orders(cover, eps_hs or (), center)
+    v = min(orders, default=upto)
+    length = max(upto, v) - v + 1
+    if center is not INF:
+        tau = cover.taus[center]
+        mult = max((g.multiplicity_at(tau) for f in fs for g in (f.numerator, f.denominator)), default=0)
+        moving = center in delta and not delta[center].is_zero()
+        length += cover.m_at(center) * (1 + mult + moving)
+    out = _expand(cover, hs, center, length, delta, eps_hs)
+    if out.window()[1] < upto:
+        raise ArithmeticError("expansion ends below upto: the precision rule is broken")
+    return out
+
+
+def _expand(cover, hs, center, length, delta, eps_hs):
+    """``expand_combination`` from series of ``length`` terms.
+
+    The radicand's leading coefficient, prod_{k != c} (tau_c -
+    tau_k)^{b_k^(0)} at a finite center c and 1 at infinity, gets its
+    least m-th root, and the minimal extension, before anything is built.
+    """
     m = cover.m
     mj = cover.m_at(center)
     s = cover.s
-    maxdeg = max(
-        (h.numerator.degree + h.denominator.degree for h in hs if not h.is_zero()),
-        default=0,
-    )
-    if eps_hs is not None:
-        maxdeg = max(
-            maxdeg,
-            max(
-                (h.numerator.degree + h.denominator.degree
-                 for h in eps_hs if not h.is_zero()),
-                default=0,
-            ),
-        )
-    # window losses: Horner steps at infinity and repeated p-th powers of
-    # series with negative start orders both shave multiples of m
-    length = upto + (maxdeg + d.p * s + 6) * (m + 1) + 8
-
-    def build(desc, cov, hs_, eps_hs_, delta_, length):
-        one = desc.one()
-        if center is INF:
-            x = DSer(
-                LaurentSeries(desc, None, -mj, [one] + [desc.zero()] * (length - 1)),
-                _zero_series(desc),
-            )
-            dx = x.derivative()
-        else:
-            tau = cov.taus[center]
-            dval = delta_.get(center, desc.zero())
-            coeffs = [tau] + [desc.zero()] * (mj - 1) + [one] + [desc.zero()] * (length - mj - 1)
-            base = LaurentSeries(desc, None, 0, coeffs)
-            if dval.is_zero():
-                eps = _zero_series(desc)
-            else:
-                eps = LaurentSeries(desc, None, 0, [dval] + [desc.zero()] * (length - 1))
-            x = DSer(base, eps)
-            dx = DSer(
-                LaurentSeries(
-                    desc,
-                    None,
-                    mj - 1,
-                    [desc.element(mj)] + [desc.zero()] * (length - 1),
-                ),
-                _zero_series(desc),
-            )
-        # linear factors (x - tau_k) as dual series
-        factors = []
-        for k, tau_k in enumerate(cov.taus):
-            dv = delta_.get(k, desc.zero())
-            fk = x - _const_dser(desc, tau_k, dv if not dv.is_zero() else None, length)
-            factors.append(fk)
-        # z_0 from the radicand, then the Frobenius recursion
-        rad = None
-        for fk, orbit in zip(factors, cov.orbits):
-            term = fk.power(orbit[0])
-            rad = term if rad is None else rad * term
-        if rad is None:
-            rad = _const_dser(desc, 1, None, length)
-        lead = rad.base.coeffs[0]
-        root = nth_root_in_field(lead, m)
-        if root is None:
-            return ("extend", lead)  # caller extends the field
-        zs = [rad.nth_root(m, root)]
-        for level in range(1, s):
-            z = zs[-1].power(desc.p)
-            for fk, e in zip(factors, cov.step_exponents(level)):
-                if e:
-                    z = z * fk.power(e)
-            zs.append(z)
-        total = None
-        for level in range(s):
-            coeff = _eval_rational_dser(hs_[level], x)
-            if eps_hs_ is not None and not eps_hs_[level].is_zero():
-                th = _eval_rational_dser(eps_hs_[level], x)
-                coeff = DSer(coeff.base, coeff.eps + th.base)
-            term = coeff * zs[level] * dx
-            total = term if total is None else total + term
-        return total
-
-    desc = d
-    cov, hs_, eps_hs_, delta_ = cover, hs, eps_hs, delta
-    for widen in range(4):
-        out = build(desc, cov, hs_, eps_hs_, delta_, length)
-        if isinstance(out, tuple):
-            from .algebra import nth_root_with_extension
-
-            _, desc = nth_root_with_extension(out[1], m)
-            cov = cover.embed(desc)
-            hs_ = tuple(h.embed(desc) for h in hs)
-            eps_hs_ = tuple(h.embed(desc) for h in eps_hs) if eps_hs else None
-            delta_ = {k: v.embed(desc) for k, v in delta.items()}
-            out = build(desc, cov, hs_, eps_hs_, delta_, length)
-            if isinstance(out, tuple):
-                raise ArithmeticError("branch constant not a root in its own field")
-        lo, hi = out.window()
-        if hi >= upto:
-            return out
-        length *= 2
-    raise ArithmeticError("expansion window too small; increase upto margin")
+    lead = cover.descriptor.one()
+    if center is not INF:
+        for k, (tau_k, orbit) in enumerate(zip(cover.taus, cover.orbits)):
+            if k != center:
+                lead = lead * (cover.taus[center] - tau_k) ** orbit[0]
+    root, desc = nth_root_with_extension(lead, m)
+    if desc != cover.descriptor:
+        cover = cover.embed(desc)
+        hs = tuple(h.embed(desc) for h in hs)
+        eps_hs = tuple(h.embed(desc) for h in eps_hs) if eps_hs else None
+        delta = {k: v.embed(desc) for k, v in delta.items()}
+    if center is INF:
+        x = _monomial(desc, 1, -mj, length)
+        dx = x.derivative()
+    else:
+        # x = tau_c + eps delta_c + t^{m_c}
+        x = _const_dser(desc, cover.taus[center], delta.get(center), length)
+        x = x + _monomial(desc, 1, mj, length - mj)
+        dx = _monomial(desc, mj, mj - 1, length)
+    # linear factors (x - tau_k) as dual series
+    factors = [x - _const_dser(desc, t, delta.get(k), length) for k, t in enumerate(cover.taus)]
+    # z_0 from the radicand, then the Frobenius recursion
+    rad = None
+    for fk, orbit in zip(factors, cover.orbits):
+        term = fk.power(orbit[0])
+        rad = term if rad is None else rad * term
+    if rad is None:
+        rad = _const_dser(desc, 1, None, length)
+    zs = [rad.nth_root(m, root)]
+    for level in range(1, s):
+        z = zs[-1].power(desc.p)
+        for fk, e in zip(factors, cover.step_exponents(level)):
+            if e:
+                z = z * fk.power(e)
+        zs.append(z)
+    total = None
+    for level in range(s):
+        coeff = _eval_rational_dser(hs[level], x)
+        if eps_hs is not None and not eps_hs[level].is_zero():
+            th = _eval_rational_dser(eps_hs[level], x)
+            coeff = DSer(coeff.base, coeff.eps + th.base)
+        term = coeff * zs[level] * dx
+        total = term if total is None else total + term
+    return total
 
 
-def ord_at_critical(form, center, search_span=None):
+def ord_at_critical(form, center):
     """Exact vanishing order of a form (or combination) at a critical point.
 
-    The order is computed from the honest local expansion; the input
-    must be nonzero.
+    When the terms' orders ``ord_single_form`` are pairwise distinct the
+    order is their minimum; when some tie, the local expansion is built
+    once, up to the Riemann-Hurwitz bound ``_order_bound``, with no
+    retry.  The input must be nonzero.
     """
     if isinstance(form, KummerForm):
         combo = FormCombination.from_form(form)
@@ -624,15 +604,55 @@ def ord_at_critical(form, center, search_span=None):
         combo = form
     if combo.is_zero():
         raise ValueError("the zero form has no order")
+    orders = _term_orders(combo.cover, combo.hs, center)
+    if len(set(orders)) == len(orders):
+        return min(orders)
+    order = expand_combination(combo.cover, combo.hs, center, _order_bound(combo)).base.order()
+    if order is None:
+        # only possible on a disconnected cover: the form is zero on the
+        # component through this point
+        raise ArithmeticError("the form vanishes identically at this point")
+    return order
+
+
+def _order_bound(combo):
+    """An upper bound for the order of a combination at any point above a branch.
+
+    On the smooth complete cover Z, a differential that is not zero on
+    the component C through the point P has sum_{P' in C} ord_{P'} =
+    2g_C - 2.  Above a branch Q each term has its ``ord_single_form`` at
+    every point, so ord_{P'} >= lb_Q, the least of them; over no branch
+    the terms are regular.  Hence ord_P <= 2g_C - 2 + sum_Q (m/m_Q)
+    max(0, -lb_Q), with m/m_Q points above Q.  By Riemann-Hurwitz the
+    degree-m cover has 2g - 2 = -2m + sum_Q (m - m/m_Q), shared by its
+    d = gcd(m, b_Q) isomorphic components.  Raises ValueError when some
+    h_l has a pole away from the branch points, and KeyError when
+    infinity is not a branch of the cover.
+    """
     cover = combo.cover
-    span = search_span if search_span is not None else 4 * cover.m + 6
-    for _ in range(3):
-        ser = expand_combination(cover, combo.hs, center, span)
-        order = ser.base.order()
-        if order is not None:
-            return order
-        span *= 2
-    raise ArithmeticError("order exceeds the search window")
+    for h in combo.hs:
+        if not h.is_zero():
+            den = h.denominator
+            if den.degree != sum(den.multiplicity_at(tau) for tau in cover.taus):
+                raise ValueError("the form has a pole away from the branch points")
+    m = cover.m
+    branches = [*range(len(cover.taus)), INF]
+    sheets = {Q: m // cover.m_at(Q) for Q in branches}
+    bound = (sum(m - n for n in sheets.values()) - 2 * m) // gcd(
+        m, *(cover.orbit_at(Q)[0] for Q in branches)
+    )
+    for Q in branches:
+        bound += sheets[Q] * max(0, -min(_term_orders(cover, combo.hs, Q)))
+    return bound
+
+
+def _term_orders(cover, hs, center):
+    """The ``ord_single_form`` of each nonzero term h_l z_l dx."""
+    return [
+        ord_single_form(KummerForm(cover, level, h), center)
+        for level, h in enumerate(hs)
+        if not h.is_zero()
+    ]
 
 
 def ord_single_form(form, center):

@@ -265,18 +265,29 @@ def kodaira_spencer(deformed):
     return tuple(out)
 
 
-def is_j_special(deformed, k, weakened=False):
+def is_j_special(deformed, k):
     """Specialty of the lift at the k-th new point, over the dual numbers.
 
     Every nonzero element of the fixed space (coefficients c^{p^i} for
     c in F_{p^s}, scaled onto the omega_i) is expanded at the moved
     branch point; specialty needs every coefficient below
     M = m_j + a_j - 1 to vanish identically (epsilon-parts included)
-    and the coefficient at M to be a unit.  ``weakened`` ignores the
-    nilpotent low-order terms and only looks for the first unit
-    coefficient; it exists as a negative control and must not be used
-    for real verification.
+    and the coefficient at M to be a unit.  Each expansion is sized by
+    ``expand_combination`` from valuations, one build per element.
     """
+    for ser, target in _specialty_expansions(deformed, k):
+        for n in range(min(ser.base.start, ser.eps.start), target):
+            bb, ee = ser.coeff(n)
+            if not bb.is_zero() or not ee.is_zero():
+                return False
+        bb, _ = ser.coeff(target)
+        if bb.is_zero():
+            return False
+    return True
+
+
+def _specialty_expansions(deformed, k):
+    """(expansion, M) at the k-th new point for each nonzero c in F_{p^s}."""
     datum = deformed.base
     sig = datum.signature
     slot, j = _new_slots(datum)[k]
@@ -310,19 +321,7 @@ def is_j_special(deformed, k, weakened=False):
             delta=delta_map,
             eps_hs=tuple(eps_hs),
         )
-        if weakened:
-            lead = ser.base.order()
-            if lead is None or lead != target:
-                return False
-            continue
-        for n in range(min(ser.base.start, ser.eps.start), target):
-            bb, ee = ser.coeff(n)
-            if not bb.is_zero() or not ee.is_zero():
-                return False
-        bb, _ = ser.coeff(target)
-        if bb.is_zero():
-            return False
-    return True
+        yield ser, target
 
 
 def _lcm(a, b):

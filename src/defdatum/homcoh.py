@@ -33,42 +33,13 @@ def _as_modp(A, p):
     return A % p
 
 
-def rank_mod_p(A, p):
-    A = _as_modp(A, p).copy()
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            A[nz] = (A[nz] - np.outer(col[nz], A[r])) % p
-        r += 1
-    return r
-
-
-def solve_mod_p(A, b, p):
-    """One solution of A x = b mod p, or None."""
-    A = _as_modp(A, p)
-    b = np.asarray(b, dtype=np.int64) % p
-    rows, cols = A.shape
-    M = np.concatenate([A, b.reshape(rows, 1)], axis=1).copy()
-    r = 0
+def _row_reduce(M, cols, p):
+    """Gauss-Jordan elimination of M in place, pivoting on its first
+    ``cols`` columns; returns the pivot columns, one per pivot row."""
+    rows = M.shape[0]
     pivots = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         piv = None
@@ -88,13 +59,25 @@ def solve_mod_p(A, b, p):
         if nz.size:
             M[nz] = (M[nz] - np.outer(col[nz], M[r])) % p
         pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if M[i, cols]:
-            return None
+    return pivots
+
+
+def rank_mod_p(A, p):
+    A = _as_modp(A, p)
+    return len(_row_reduce(A, A.shape[1], p))
+
+
+def solve_mod_p(A, b, p):
+    """One solution of A x = b mod p, or None."""
+    A = _as_modp(A, p)
+    b = np.asarray(b, dtype=np.int64) % p
+    rows, cols = A.shape
+    M = np.concatenate([A, b.reshape(rows, 1)], axis=1)
+    pivots = _row_reduce(M, cols, p)
+    if M[len(pivots):, cols].any():
+        return None
     x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = M[i, cols]
+    x[pivots] = M[: len(pivots), cols]
     return x
 
 

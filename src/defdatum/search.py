@@ -22,7 +22,7 @@ from .algebra import (
     FieldElement,
     Poly,
     RationalFunction,
-    nth_root_in_field,
+    nth_root_with_extension,
 )
 
 
@@ -83,15 +83,39 @@ class DeformationDatum:
 
     @staticmethod
     def from_json(obj):
+        """Read a datum document, checking its contract.
+
+        One tau per new point of the signature and one epsilon and one
+        lambda per level; every element in ``field`` (its p, r and
+        canonical modulus); tau distinct and outside {0, 1}; epsilon and
+        lambda units.  A violation raises ValueError naming it.
+        """
         if obj.get("schema") != "defdatum/1":
             raise ValueError("unknown schema")
-        return DeformationDatum(
-            sigdata.Signature.from_json(obj["signature"]),
-            FieldDescriptor.get(obj["field"]["p"], obj["field"]["r"]),
-            tuple(FieldElement.from_json(t) for t in obj["tau"]),
-            tuple(FieldElement.from_json(e) for e in obj["epsilon"]),
-            tuple(FieldElement.from_json(l) for l in obj["lambda"]),
-        )
+        sig = sigdata.Signature.from_json(obj["signature"])
+        fld = obj["field"]
+        descriptor = FieldDescriptor.get(fld["p"], fld["r"])
+        if list(descriptor.modulus) != [c % descriptor.p for c in fld["modulus"]]:
+            raise ValueError("field: non-canonical modulus")
+        if sig.p != descriptor.p:
+            raise ValueError("field: characteristic differs from the signature's p")
+
+        def elements(key, count):
+            if len(obj[key]) != count:
+                raise ValueError(f"{key}: {len(obj[key])} entries, the signature needs {count}")
+            out = tuple(FieldElement.from_json(e) for e in obj[key])
+            if any(e.descriptor != descriptor for e in out):
+                raise ValueError(f"{key}: an element outside the field {descriptor}")
+            return out
+
+        tau = elements("tau", len(sig.new_indices()))
+        epsilon = elements("epsilon", sig.s)
+        lam = elements("lambda", sig.s)
+        if len(set(tau)) != len(tau) or any(t.is_zero() or t == descriptor.one() for t in tau):
+            raise ValueError("tau: new points must be distinct and outside {0, 1}")
+        if any(e.is_zero() for e in epsilon + lam):
+            raise ValueError("epsilon and lambda must be units")
+        return DeformationDatum(sig, descriptor, tau, epsilon, lam)
 
 
 def build_cover(sig, descriptor, tau_new):
@@ -141,17 +165,15 @@ def check_candidate(sig, descriptor, tau_new):
     return lams
 
 
-class RootSearchExhausted(ArithmeticError):
-    pass
-
-
-def normalize_epsilons(descriptor, lams, max_extension=24):
+def normalize_epsilons(descriptor, lams):
     """Solve the cyclic relations eps_i = frobenius_inverse(eps_{i+1}) lambda_i.
 
     Eliminating gives eps_0^{p^s - 1} = prod_i lambda_i^{p^{s-i}}; the
     least root (serialization order) in the minimal field extension is
-    taken and the remaining eps back-substituted.  Returns (epsilons,
-    descriptor of the field they live in).
+    taken (``nth_root_with_extension``, whose degree comes from the
+    multiplicative order of the right-hand side, so there is no trial
+    loop and no degree cap) and the remaining eps back-substituted.
+    Returns (epsilons, descriptor of the field they live in).
     """
     p = descriptor.p
     s = len(lams)
@@ -160,22 +182,12 @@ def normalize_epsilons(descriptor, lams, max_extension=24):
     big = descriptor.one()
     for i, l in enumerate(lams):
         big = big * l ** (p ** (s - i))
-    n = p**s - 1
-    for k in range(1, max_extension + 1):
-        target = FieldDescriptor.get(p, descriptor.r * k)
-        emb = big.embed(target)
-        root = nth_root_in_field(emb, n)
-        if root is not None and not root.is_zero():
-            eps = [None] * s
-            eps[0] = root
-            lams_t = [l.embed(target) for l in lams]
-            for i in range(s - 1, 0, -1):
-                nxt = eps[(i + 1) % s]
-                eps[i] = nxt.frobenius_inverse() * lams_t[i]
-            return tuple(eps), target
-    raise RootSearchExhausted(
-        f"no eigenform constant in extensions up to degree {max_extension}"
-    )
+    root, target = nth_root_with_extension(big, p**s - 1)
+    eps = [root] + [None] * (s - 1)
+    lams_t = [l.embed(target) for l in lams]
+    for i in range(s - 1, 0, -1):
+        eps[i] = eps[(i + 1) % s].frobenius_inverse() * lams_t[i]
+    return tuple(eps), target
 
 
 def search_field(sig, descriptor):

@@ -255,6 +255,34 @@ def test_nth_root_with_extension():
     assert r * r == F3.element(2).embed(F9)
 
 
+def trial_nth_root_with_extension(a, m):
+    """Oracle: try F_{p^{rk}} for k = 1, 2, ... until a root appears."""
+    d = a.descriptor
+    for k in range(1, m + 1):
+        target = FieldDescriptor.get(d.p, d.r * k)
+        root = nth_root_in_field(a.embed(target), m)
+        if root is not None:
+            return root, target
+    raise AssertionError("no root up to degree m")
+
+
+def test_extension_degree_rule_matches_trial_loop():
+    # every element of F_2 ... F_9 and every m <= 6 with q^m <= 2^13 (the
+    # degree is at most m, so the trial loop stays on table-backed fields)
+    cases = 0
+    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        d = FieldDescriptor.get(p, r)
+        for m in range(1, 7):
+            if d.order**m > 1 << 13:
+                continue
+            for a in d.elements():
+                root, target = nth_root_with_extension(a, m)
+                assert (root, target) == trial_nth_root_with_extension(a, m)
+                assert root**m == a.embed(target)
+                cases += 1
+    assert cases == 175
+
+
 # table arithmetic against polynomial arithmetic modulo the canonical
 # modulus; F_{2^17} is above the table cap and takes the polynomial path
 ORACLE_FIELDS = [(2, 1), (2, 2), (3, 2), (5, 2), (5, 3), (5, 6), (2, 17)]

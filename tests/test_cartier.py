@@ -1,10 +1,10 @@
 """The Cartier operator, Kummer covers, eigenforms and local expansions."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from defdatum import search, sigdata
+from defdatum import cartier, deform, search, sigdata
 from defdatum.algebra import (
     INF,
     FieldDescriptor,
@@ -195,7 +195,8 @@ def test_phi_basis_golden():
     assert is_cartier_fixed(phis[0])
 
 
-def test_phi_basis_two_levels():
+def two_level_datum():
+    # z^4 = x^3 (x - tau) over F_3: the one datum of its signature, two levels
     sig = sigdata.canonicalize(
         sigdata.Signature(
             3,
@@ -210,7 +211,11 @@ def test_phi_basis_two_levels():
     )
     data = search.search_field(sig, F3)
     assert len(data) == 1
-    phis = phi_basis(data[0])
+    return data[0]
+
+
+def test_phi_basis_two_levels():
+    phis = phi_basis(two_level_datum())
     assert len(phis) == 2
     assert all(is_cartier_fixed(ph) for ph in phis)
 
@@ -278,3 +283,126 @@ def test_expansion_extends_the_field_when_needed():
     ser = expand_combination(cover, (h, rat(F3, [0], [1])), 2, 4)
     assert ser.descriptor.p == 3
     assert ser.descriptor.r > 1
+
+
+# ---------------------------------------------------------------------------
+# window sizing: the valuation rule against the old heuristic windows
+
+
+def heuristic_window_expansion(cover, hs, center, upto, delta=None, eps_hs=None):
+    """Oracle: the old sizing, upto + (maxdeg + p s + 6)(m + 1) + 8
+    coefficients, doubled until the window reaches upto."""
+    fs = [f for f in (*hs, *(eps_hs or ())) if not f.is_zero()]
+    maxdeg = max((f.numerator.degree + f.denominator.degree for f in fs), default=0)
+    length = upto + (maxdeg + cover.descriptor.p * cover.s + 6) * (cover.m + 1) + 8
+    while True:
+        ser = cartier._expand(cover, hs, center, length, delta or {}, eps_hs)
+        if ser.window()[1] >= upto:
+            return ser
+        length *= 2
+
+
+EXPANSION_COVERS = [
+    # z^2 = x (x - 2) over F_5, unramified at infinity
+    KummerCover(F5, 2, tuple(F5.element(t) for t in (0, 1, 2)), ((1,), (0,), (1,)), (0,)),
+    # z^2 = x (x - 1) (x - 2) over F_5, ramified at infinity
+    KummerCover(F5, 2, tuple(F5.element(t) for t in (0, 1, 2)), ((1,), (1,), (1,)), (1,)),
+    # z^4 = x^3 (x - 2) over F_3, two levels, wild point at infinity
+    two_level_cover(),
+    # z^4 = x (x - 1) (x - 2) over F_3, two levels, ramified at infinity
+    KummerCover(F3, 4, tuple(F3.element(t) for t in (0, 1, 2)), ((1, 3),) * 3, (1, 3)),
+]
+
+
+@st.composite
+def expansion_cases(draw):
+    cover = draw(st.sampled_from(EXPANSION_COVERS))
+    d = cover.descriptor
+    levels = st.tuples(*[rationals(d, max_deg=2)] * cover.s)
+    hs = draw(levels)
+    eps_hs = draw(st.none() | levels)
+    center = draw(st.sampled_from([0, 1, 2, INF]))
+    delta = None
+    if draw(st.booleans()):
+        moved = draw(st.sampled_from([0, 1, 2] + [center] * (center is not INF)))
+        delta = {moved: d.element(draw(st.integers(1, d.order - 1)))}
+    return cover, hs, center, delta, eps_hs, draw(st.integers(0, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(expansion_cases())
+# a moving center at tau = 0 with a pole there: the epsilon channel needs
+# the extra m_c of the rule
+@example((EXPANSION_COVERS[0], (rat(F5, [1], [0, 1]),), 0, {0: F5.one()}, None, 0))
+def test_valuation_window_matches_heuristic_window(case):
+    cover, hs, center, delta, eps_hs, extra = case
+    orders = cartier._term_orders(cover, hs, center) + cartier._term_orders(
+        cover, eps_hs or (), center
+    )
+    assume(orders)
+    upto = min(orders) + extra
+    ser = expand_combination(cover, hs, center, upto, delta=delta, eps_hs=eps_hs)
+    oracle = heuristic_window_expansion(cover, hs, center, upto, delta, eps_hs)
+    assert ser.descriptor == oracle.descriptor
+    assert ser.window()[1] >= upto
+    for n in range(min(*ser.window(), *oracle.window()), upto + 1):
+        assert ser.coeff(n) == oracle.coeff(n)
+
+
+@st.composite
+def branch_supported_combinations(draw):
+    # poles only at branch points, so the tie case's bound applies
+    cover = draw(st.sampled_from(EXPANSION_COVERS))
+    d = cover.descriptor
+    table = list(d.elements())
+    x = Poly.x(d)
+    hs = []
+    for _ in range(cover.s):
+        num = Poly(d, draw(st.lists(st.sampled_from(table), min_size=1, max_size=3)))
+        den = Poly.constant(d, 1)
+        for tau in cover.taus:
+            den = den * (x - Poly.constant(d, tau)) ** draw(st.integers(0, 2))
+        hs.append(RationalFunction(num, den))
+    return FormCombination(cover, tuple(hs)), draw(st.sampled_from([0, 1, 2, INF]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(branch_supported_combinations())
+# the two terms cancel at their common order -2 at infinity: the order, -1,
+# is read only because the bound counts the terms' poles at 0 and 2
+@example((FormCombination(two_level_cover(), (rat(F3, [2, 2], [0, 0, 1]), rat(F3, [2, 1], [0, 1, 1]))), INF))
+def test_order_matches_wide_expansion(case):
+    # distinct closed-form orders give the minimum with no expansion; ties
+    # are read up to the Riemann-Hurwitz bound; both against the old window
+    combo, center = case
+    assume(not combo.is_zero())
+    got = ord_at_critical(combo, center)
+    upto = max(cartier._term_orders(combo.cover, combo.hs, center)) + 12
+    wide = heuristic_window_expansion(combo.cover, combo.hs, center, upto)
+    assert got == wide.base.order()
+
+
+def test_each_expansion_is_built_once(monkeypatch):
+    calls = {"expand_combination": 0, "_expand": 0, "_order_bound": 0}
+
+    def counted(name):
+        original = getattr(cartier, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cartier, name, wrapper)
+
+    counted("expand_combination")
+    counted("_expand")
+    counted("_order_bound")
+    datum = two_level_datum()
+    deform.rigidity_check(datum)  # moving centers, theta channels, two levels
+    # a branch constant that needs F_9
+    cartier.expand_combination(two_level_cover(), (rat(F3, [1], [1]), rat(F3, [0], [1])), 2, 4)
+    for ph in phi_basis(datum):
+        for center in (0, 1, 2, INF):
+            ord_at_critical(ph, center)
+    assert calls["_order_bound"] > 0  # some orders tie and are expanded
+    assert calls["_expand"] == calls["expand_combination"] > 0

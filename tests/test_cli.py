@@ -110,9 +110,48 @@ def test_verify_garbage_fails_loudly(runner, tmp_path):
     assert res.exit_code != 0
 
 
+# the datum of `search --p 5 --m 2 --points 4 --r 1`: z^2 = x(x - 2) over F_5
+P5_DATUM = {
+    "schema": "defdatum/1",
+    "signature": {
+        "m": 2,
+        "p": 5,
+        "points": [
+            {"b0": 1, "nu": 0, "role": "B0"},
+            {"b0": 0, "nu": 0, "role": "B0"},
+            {"b0": 0, "nu": 0, "role": "B0"},
+            {"b0": 1, "nu": 1, "role": "new"},
+        ],
+        "s": 1,
+    },
+    "field": {"modulus": [0, 1], "p": 5, "r": 1},
+    "tau": [{"coeffs": [2], "modulus": [0, 1], "p": 5, "r": 1}],
+    "epsilon": [{"coeffs": [1], "modulus": [0, 1], "p": 5, "r": 1}],
+    "lambda": [{"coeffs": [1], "modulus": [0, 1], "p": 5, "r": 1}],
+}
+F25_X = {"coeffs": [0, 1], "modulus": [2, 0, 1], "p": 5, "r": 2}
+
+
+def f5(c):
+    return {"coeffs": [c], "modulus": [0, 1], "p": 5, "r": 1}
+
+
+def p5_datum_with(**changes):
+    return json.dumps({**P5_DATUM, **changes})
+
+
 @pytest.mark.parametrize(
     "text",
     [
+        p5_datum_with(tau=[f5(0)]),
+        p5_datum_with(tau=[f5(1)]),
+        p5_datum_with(tau=[f5(2), f5(3)]),
+        p5_datum_with(epsilon=[]),
+        p5_datum_with(epsilon=[f5(0)]),
+        p5_datum_with(tau=[F25_X]),
+        p5_datum_with(epsilon=[F25_X]),
+        # a p = 7 signature over F_5 used to verify as passed
+        p5_datum_with(signature={**P5_DATUM["signature"], "p": 7}),
         json.dumps({"schema": "defdatum/1"}),
         json.dumps({"schema": "other"}),
         json.dumps([{"schema": "defdatum/1", "signature": 3}]),
@@ -132,6 +171,16 @@ def test_verify_malformed_document_is_a_usage_error(runner, tmp_path, text):
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     assert "is not a datum document" in res.output
+
+
+def test_well_formed_datum_that_fails_verification_exits_1(runner, tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_text(p5_datum_with(tau=[f5(3)]))  # x(x - 3) is not special
+    res = invoke(runner, "verify", str(path))
+    assert res.exit_code == 1
+    assert json.loads(res.output)["passed"] is False
+    path.write_text(json.dumps(P5_DATUM))
+    assert invoke(runner, "verify", str(path)).exit_code == 0
 
 
 def test_cohomology_document_shape(runner):
@@ -165,12 +214,26 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
     assert f"--budget {budget}" in res.output
 
 
-@pytest.mark.parametrize("p,seed", [(3, 0), (2, 7)])
-def test_cohomology_document_matches_golden(runner, p, seed):
-    # the golden documents were written by the dense-matrix cohomology;
-    # "versions" holds the Python version, so it is taken from this run
-    golden = DATA / f"cohomology-p{p}-seed{seed}.json"
-    res = invoke(runner, "cohomology", "--p", str(p), "--seed", str(seed))
+@pytest.mark.parametrize(
+    "golden,args",
+    [
+        pytest.param("cohomology-p3-seed0", "cohomology --p 3 --seed 0", id="3-0"),
+        pytest.param("cohomology-p2-seed7", "cohomology --p 2 --seed 7", id="2-7"),
+        pytest.param(
+            "search-p3-m2-points3-r1", "search --p 3 --m 2 --points 3 --r 1", id="search"
+        ),
+        pytest.param(
+            "rigidity-p5-m2-points4-r1", "rigidity --p 5 --m 2 --points 4 --r 1", id="rigidity"
+        ),
+    ],
+)
+def test_cohomology_document_matches_golden(runner, golden, args):
+    # the cohomology documents were written by the dense-matrix cohomology,
+    # the search and rigidity documents by the expansions with heuristic
+    # windows and retries; "versions" holds the Python version, so it is
+    # taken from this run
+    golden = DATA / f"{golden}.json"
+    res = invoke(runner, *args.split())
     assert res.exit_code == 0
     expected = json.loads(golden.read_text())
     expected["versions"] = json.loads(res.output)["versions"]

@@ -6,7 +6,6 @@ from defdatum import search, sigdata
 from defdatum.algebra import FieldDescriptor
 from defdatum.search import (
     DeformationDatum,
-    RootSearchExhausted,
     build_cover,
     check_candidate,
     frobenius_orbits,

@@ -17,6 +17,7 @@ tables and serve the larger fields.
 from __future__ import annotations
 
 import functools
+from math import gcd
 
 from . import _corepy
 
@@ -105,8 +106,7 @@ def _canonical_modulus(p, r):
 
 
 # Fields with at most this many elements run on lookup tables; larger ones
-# (reached only through big extensions in nth_root_with_extension) keep
-# polynomial arithmetic modulo the modulus.
+# keep polynomial arithmetic modulo the modulus.
 _TABLE_CAP = 1 << 16
 
 
@@ -854,29 +854,12 @@ class RationalFunction:
         return f"({self.numerator!r})/({self.denominator!r})"
 
 
-def normalize(f):
-    """Canonical form of a rational function (the constructor normalizes)."""
-    return RationalFunction(f.numerator, f.denominator)
-
-
-def ord_at(f, xi):
-    return f.ord_at(xi)
-
-
-def frobenius_inverse(a):
-    return a.frobenius_inverse()
-
-
 class LaurentSeries:
-    """Truncated Laurent expansion: coefficients for orders start..trunc.
+    """Truncated Laurent expansion: coefficients for orders start..trunc."""
 
-    ``center`` records where the expansion was taken (a field element or
-    INF); purely local computations may use center=None.
-    """
+    __slots__ = ("descriptor", "start", "coeffs", "trunc")
 
-    __slots__ = ("descriptor", "center", "start", "coeffs", "trunc")
-
-    def __init__(self, descriptor, center, start, coeffs, trunc=None):
+    def __init__(self, descriptor, start, coeffs, trunc=None):
         coeffs = list(coeffs)
         if trunc is None:
             trunc = start + len(coeffs) - 1
@@ -889,7 +872,6 @@ class LaurentSeries:
         if not coeffs:
             start = trunc + 1
         self.descriptor = descriptor
-        self.center = center
         self.start = start
         self.coeffs = tuple(coeffs)
         self.trunc = trunc
@@ -908,9 +890,6 @@ class LaurentSeries:
             return self.descriptor.zero()
         return self.coeffs[n - self.start]
 
-    def _window(self):
-        return self.start, self.trunc
-
     def __add__(self, other):
         if isinstance(other, LaurentSeries):
             if other.descriptor != self.descriptor:
@@ -918,12 +897,12 @@ class LaurentSeries:
             start = min(self.start, other.start)
             trunc = min(self.trunc, other.trunc)
             coeffs = [self.coeff(n) + other.coeff(n) for n in range(start, trunc + 1)]
-            return LaurentSeries(self.descriptor, self.center, start, coeffs, trunc)
+            return LaurentSeries(self.descriptor, start, coeffs, trunc)
         return NotImplemented
 
     def __neg__(self):
         return LaurentSeries(
-            self.descriptor, self.center, self.start, [-c for c in self.coeffs], self.trunc
+            self.descriptor, self.start, [-c for c in self.coeffs], self.trunc
         )
 
     def __sub__(self, other):
@@ -932,7 +911,7 @@ class LaurentSeries:
     def scale(self, c):
         c = self.descriptor.element(c)
         return LaurentSeries(
-            self.descriptor, self.center, self.start, [a * c for a in self.coeffs], self.trunc
+            self.descriptor, self.start, [a * c for a in self.coeffs], self.trunc
         )
 
     def __mul__(self, other):
@@ -947,7 +926,7 @@ class LaurentSeries:
         zero = self.descriptor.zero()
         n = trunc - start + 1
         if n <= 0:
-            return LaurentSeries(self.descriptor, self.center, start, [], start - 1)
+            return LaurentSeries(self.descriptor, start, [], start - 1)
         out = [zero] * n
         for i, a in enumerate(self.coeffs):
             if a:
@@ -955,14 +934,14 @@ class LaurentSeries:
                     k = i + j
                     if k < n and b:
                         out[k] = out[k] + a * b
-        return LaurentSeries(self.descriptor, self.center, start, out, trunc)
+        return LaurentSeries(self.descriptor, start, out, trunc)
 
     __rmul__ = scale
 
     def shift(self, k):
         """Multiply by t^k."""
         return LaurentSeries(
-            self.descriptor, self.center, self.start + k, list(self.coeffs), self.trunc + k
+            self.descriptor, self.start + k, list(self.coeffs), self.trunc + k
         )
 
     def inverse(self):
@@ -978,20 +957,16 @@ class LaurentSeries:
                 if j < len(self.coeffs):
                     acc = acc + self.coeffs[j] * out[k - j]
             out[k] = -acc * inv0
-        return LaurentSeries(
-            self.descriptor, self.center, -self.start, out, -self.start + n - 1
-        )
+        return LaurentSeries(self.descriptor, -self.start, out, -self.start + n - 1)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
-    def nth_root(self, m, lead_root=None):
+    def nth_root(self, m, lead_root):
         """A series y with y^m = self, for m prime to the characteristic.
 
-        The start order must be divisible by m.  ``lead_root`` fixes the
-        branch (an m-th root of the leading coefficient); when omitted a
-        root is searched in the coefficient field and it is an error if
-        none exists there.
+        The start order must be divisible by m.  ``lead_root``, an m-th
+        root of the leading coefficient, fixes the branch.
         """
         if m % self.descriptor.p == 0:
             raise ValueError("root index divisible by the characteristic")
@@ -1000,10 +975,6 @@ class LaurentSeries:
         if self.start % m != 0:
             raise ValueError("start order not divisible by the root index")
         c0 = self.coeffs[0]
-        if lead_root is None:
-            lead_root = nth_root_in_field(c0, m)
-            if lead_root is None:
-                raise ArithmeticError("leading coefficient has no m-th root here")
         if lead_root**m != c0:
             raise ValueError("lead_root is not an m-th root of the leading coefficient")
         n = self.trunc - self.start + 1
@@ -1020,7 +991,7 @@ class LaurentSeries:
             y[k] = (u[k] - ym[k]) * minv
         out = [lead_root * c for c in y]
         return LaurentSeries(
-            self.descriptor, self.center, self.start // m, out, self.start // m + n - 1
+            self.descriptor, self.start // m, out, self.start // m + n - 1
         )
 
     def derivative(self):
@@ -1029,20 +1000,18 @@ class LaurentSeries:
             self.descriptor.element(n) * self.coeff(n)
             for n in range(self.start, self.trunc + 1)
         ]
-        return LaurentSeries(
-            self.descriptor, self.center, self.start - 1, coeffs, self.trunc - 1
-        )
+        return LaurentSeries(self.descriptor, self.start - 1, coeffs, self.trunc - 1)
 
     def truncate(self, trunc):
         if trunc >= self.trunc:
             return self
         coeffs = [self.coeff(n) for n in range(self.start, trunc + 1)]
-        return LaurentSeries(self.descriptor, self.center, self.start, coeffs, trunc)
+        return LaurentSeries(self.descriptor, self.start, coeffs, trunc)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        if self.descriptor != other.descriptor or self.center != other.center:
+        if self.descriptor != other.descriptor:
             return False
         lo = min(self.start, other.start)
         hi = min(self.trunc, other.trunc)
@@ -1098,7 +1067,7 @@ def nth_root_in_field(a, m):
     if a._log is None:
         return _nth_root_by_scan(a, m)
     d = a.descriptor
-    g = _gcd_int(m, d._q1)
+    g = gcd(m, d._q1)
     if a._log % g:
         return None
     step = d._q1 // g
@@ -1114,7 +1083,7 @@ def _nth_root_by_scan(a, m):
     d = a.descriptor
     q1 = d.order - 1
     # solvable iff a^(q1/g) == 1; the m-th power map has image of index g
-    if a ** (q1 // _gcd_int(m, q1)) != d.one():
+    if a ** (q1 // gcd(m, q1)) != d.one():
         return None
     for cand in d.elements():
         if cand**m == a:
@@ -1133,16 +1102,10 @@ def nth_root_with_extension(a, m):
     d = a.descriptor
     order = a.multiplicative_order() if a else 1
     k = 1
-    while (d.p ** (d.r * k) - 1) % (order * _gcd_int(m, d.p ** (d.r * k) - 1)):
+    while (d.p ** (d.r * k) - 1) % (order * gcd(m, d.p ** (d.r * k) - 1)):
         k += 1
     target = FieldDescriptor.get(d.p, d.r * k)
     return nth_root_in_field(a.embed(target), m), target
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def series_at(f, xi, n):
@@ -1152,7 +1115,7 @@ def series_at(f, xi, n):
     infinity; coefficients run up to order n inclusive.
     """
     if f.is_zero():
-        return LaurentSeries(f.descriptor, xi, n + 1, [], n)
+        return LaurentSeries(f.descriptor, n + 1, [], n)
     v = f.ord_at(xi)
     if n < v:
         raise ValueError("truncation order below the valuation")
@@ -1173,8 +1136,8 @@ def series_at(f, xi, n):
     den_win = list(den_t.coeffs[vd : vd + length])
     num_win += [d.zero()] * (length - len(num_win))
     den_win += [d.zero()] * (length - len(den_win))
-    num_ser = LaurentSeries(d, xi, 0, num_win)
-    den_ser = LaurentSeries(d, xi, 0, den_win)
+    num_ser = LaurentSeries(d, 0, num_win)
+    den_ser = LaurentSeries(d, 0, den_win)
     ser = (num_ser * den_ser.inverse()).shift(vn - vd + shift)
     return ser.truncate(n)
 

@@ -1,15 +1,16 @@
 """The Cartier operator on P^1 and on Kummer covers z^m = prod (x-tau_j)^b_j.
 
-Forms on the cover are written h(x) * z_i * dx with h rational, one
-level i per Frobenius step of the exponent orbit.  The operator sends
+A form on the cover is a ``FormCombination`` sum_i h_i(x) * z_i * dx
+with h_i rational, one level i per Frobenius step of the exponent orbit
+(a single eigenform has one nonzero level).  The operator sends
 level i+1 to level i via z_{i+1} = z_i^p * prod (x-tau_j)^{e_j} with
 integer exponents e_j = (b^(i+1) - p b^(i))/m; the root-of-unity
 ambiguity in that relation is fixed as 1 (any other choice is absorbed
 by the eigenform constants).
 
 Local expansions at critical points run over dual-number coefficients
-throughout (a pair of plain series); the purely algebraic callers just
-leave the epsilon channel zero.
+throughout (``DSer``, a pair of plain series); the purely algebraic
+callers just leave the epsilon channel zero.
 
 Precision comes from valuations, and nothing is retried.  An expansion
 at the center c is built once from series of
@@ -30,8 +31,7 @@ infinity.  So every coefficient through ``upto`` is exact.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -191,48 +191,13 @@ class KummerCover:
             self.infinity_orbit,
         )
 
-    def content_hash(self):
-        blob = json.dumps(
-            {
-                "p": self.descriptor.p,
-                "r": self.descriptor.r,
-                "m": self.m,
-                "taus": [t.to_json()["coeffs"] for t in self.taus],
-                "orbits": [list(o) for o in self.orbits],
-                "infinity": list(self.infinity_orbit) if self.infinity_orbit else None,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class KummerForm:
-    """The differential h(x) * z_{level} * dx on the cover."""
-
-    cover: KummerCover
-    level: int
-    h: RationalFunction
-
-    def __post_init__(self):
-        if self.h.descriptor != self.cover.descriptor:
-            raise ValueError("field mismatch between cover and coefficient")
-        object.__setattr__(self, "level", self.level % self.cover.s)
-
-    def is_zero(self):
-        return self.h.is_zero()
-
-    def to_json(self):
-        return {
-            "level": self.level,
-            "h": self.h.to_json(),
-            "cover": self.cover.content_hash(),
-        }
-
 
 @dataclass(frozen=True)
 class FormCombination:
-    """sum over levels of h_l * z_l * dx (one rational coefficient per level)."""
+    """sum over levels of h_l * z_l * dx (one rational coefficient per level).
+
+    The eigenform omega_i is the combination with only level i nonzero.
+    """
 
     cover: KummerCover
     hs: tuple
@@ -240,14 +205,6 @@ class FormCombination:
     def __post_init__(self):
         if len(self.hs) != self.cover.s:
             raise ValueError("one coefficient per level")
-
-    @staticmethod
-    def from_form(form):
-        d = form.cover.descriptor
-        zero = RationalFunction(Poly(d, []), Poly.constant(d, 1))
-        hs = [zero] * form.cover.s
-        hs[form.level] = form.h
-        return FormCombination(form.cover, tuple(hs))
 
     def is_zero(self):
         return all(h.is_zero() for h in self.hs)
@@ -259,17 +216,6 @@ class FormCombination:
             self.cover, tuple(a + b for a, b in zip(self.hs, other.hs))
         )
 
-    def scale(self, c):
-        return FormCombination(self.cover, tuple(h * c for h in self.hs))
-
-
-def cartier_kummer(cover, form):
-    """C of h * z_{level} * dx, landing at level - 1."""
-    if form.cover != cover:
-        raise ValueError("form does not live on the given cover")
-    g = cartier_rational(form.h * cover.step_factor(form.level))
-    return KummerForm(cover, form.level - 1, g)
-
 
 def cartier_combination(combo):
     cover = combo.cover
@@ -279,26 +225,26 @@ def cartier_combination(combo):
     return FormCombination(cover, tuple(out))
 
 
-def is_cartier_fixed(form):
-    """True iff the Cartier operator returns the input exactly.
-
-    Accepts a plain rational function (meaning f dx on the x-line), a
-    KummerForm, or a FormCombination.
-    """
-    if isinstance(form, RationalFunction):
-        return cartier_rational(form) == form
-    if isinstance(form, KummerForm):
-        form = FormCombination.from_form(form)
-    return cartier_combination(form) == form
+def is_cartier_fixed(combo):
+    """True iff the Cartier operator returns the combination exactly."""
+    return cartier_combination(combo) == combo
 
 
 def omega_form(datum, i):
-    """The level-i eigenform eps_i * z_i * dx / prod_{B0 finite}(x - tau)."""
-    eps = datum.epsilon[i % datum.cover.s]
+    """The level-i eigenform eps_i * z_i * dx / prod_{B0 finite}(x - tau).
+
+    A combination whose only nonzero level is i (mod s).
+    """
+    cover = datum.cover
+    level = i % cover.s
+    eps = datum.epsilon[level]
     if eps.is_zero():
         raise ValueError("eigenform constants must be units")
-    h = RationalFunction(Poly.constant(datum.cover.descriptor, eps), datum.q_poly)
-    return KummerForm(datum.cover, i % datum.cover.s, h)
+    d = cover.descriptor
+    zero = RationalFunction(Poly(d, []), Poly.constant(d, 1))
+    hs = [zero] * cover.s
+    hs[level] = RationalFunction(Poly.constant(d, eps), datum.q_poly)
+    return FormCombination(cover, tuple(hs))
 
 
 def omega_combination(datum):
@@ -309,44 +255,33 @@ def omega_combination(datum):
     return FormCombination(datum.cover, tuple(hs))
 
 
-def phi_basis(datum, generator_power=None):
+def phi_basis(datum):
     """The F_p-rational basis phi_l = sum_i chi_{i+l}(alpha) omega_i.
 
     chi_0(alpha) is a primitive m-th root of unity gamma in F_{p^s}
     (embedded into the datum's field) and chi_{i+l}(alpha) =
-    gamma^{p^{i+l}}.  ``generator_power`` selects alpha = (canonical
-    generator)^k; by default the least power (in serialization order of
-    gamma^k) whose conjugates are F_p-independent is chosen, and it is
-    an error if no generator yields an independent family.
+    gamma^{p^{i+l}}, for the least power gamma = gamma0^k (k prime to
+    m, in increasing k) whose conjugates are F_p-independent.  When none
+    has independent conjugates, the least element of F_{p^s} that does
+    (a normal-basis generator, in serialization order) takes its place;
+    the fallback is scanned lazily, so it costs nothing when a root of
+    unity works.
     """
     cover = datum.cover
     s = cover.s
     p = cover.descriptor.p
     roots_field = datum.field_with_roots()
     gamma0 = _primitive_root_of_unity(roots_field, cover.m)
-    if generator_power is not None:
-        gamma = gamma0**generator_power
-        if gamma.multiplicative_order() != cover.m:
-            raise ValueError("alpha is not a generator of H")
-        candidates = [gamma]
-    else:
-        candidates = [
-            gamma0**k for k in range(1, cover.m) if gcd(k, cover.m) == 1
-        ]
-        # the fixed space only needs c in F_{p^s} with independent
-        # conjugates; fall back to a normal-basis generator when no
-        # m-th root of unity has one
-        fallback = [
-            e
-            for e in roots_field.elements()
-            if not e.is_zero() and e ** (p**s) == e
-        ]
-        candidates += [e for e in fallback if e not in candidates]
-    for gamma in candidates:
+    roots = [gamma0**k for k in range(1, cover.m) if gcd(k, cover.m) == 1]
+    # the fixed space only needs c in F_{p^s} with independent conjugates
+    fallback = (
+        e
+        for e in roots_field.elements()
+        if not e.is_zero() and e ** (p**s) == e and e not in roots
+    )
+    for gamma in itertools.chain(roots, fallback):
         conjugates = [gamma ** (p**l) for l in range(s)]
         if _fp_rank(conjugates) != s:
-            if generator_power is not None:
-                raise ValueError("alpha does not give an independent family")
             continue
         omegas = omega_combination(datum.embedded(gamma.descriptor))
         out = []
@@ -387,7 +322,7 @@ def _fp_rank(elements):
 
 
 def _zero_series(descriptor):
-    return LaurentSeries(descriptor, None, _BIG, [], _BIG - 1)
+    return LaurentSeries(descriptor, _BIG, [], _BIG - 1)
 
 
 @dataclass(frozen=True)
@@ -412,16 +347,6 @@ class DSer:
             self.base * other.base, self.base * other.eps + self.eps * other.base
         )
 
-    def scale(self, c_base, c_eps=None):
-        out_base = self.base.scale(c_base)
-        out_eps = self.eps.scale(c_base)
-        if c_eps is not None:
-            out_eps = out_eps + self.base.scale(c_eps)
-        return DSer(out_base, out_eps)
-
-    def shift(self, k):
-        return DSer(self.base.shift(k), self.eps.shift(k))
-
     def inverse(self):
         ib = self.base.inverse()
         return DSer(ib, -(ib * ib * self.eps))
@@ -439,7 +364,7 @@ class DSer:
             e >>= 1
         return result
 
-    def nth_root(self, m, lead_root=None):
+    def nth_root(self, m, lead_root):
         y = self.base.nth_root(m, lead_root)
         # (y + eps z)^m = base + eps * e  =>  z = e * y / (m * base)
         num = self.eps * y
@@ -463,13 +388,13 @@ class DSer:
 
 def _const_dser(descriptor, value, eps_value=None, length=1):
     base = LaurentSeries(
-        descriptor, None, 0, [descriptor.element(value)] + [descriptor.zero()] * (length - 1)
+        descriptor, 0, [descriptor.element(value)] + [descriptor.zero()] * (length - 1)
     )
     if eps_value is None or descriptor.element(eps_value).is_zero():
         eps = _zero_series(descriptor)
     else:
         eps = LaurentSeries(
-            descriptor, None, 0, [descriptor.element(eps_value)] + [descriptor.zero()] * (length - 1)
+            descriptor, 0, [descriptor.element(eps_value)] + [descriptor.zero()] * (length - 1)
         )
     return DSer(base, eps)
 
@@ -477,7 +402,7 @@ def _const_dser(descriptor, value, eps_value=None, length=1):
 def _monomial(descriptor, c, k, length):
     """c t^k, known through order k + length - 1, with a zero epsilon part."""
     coeffs = [descriptor.element(c)] + [descriptor.zero()] * (length - 1)
-    return DSer(LaurentSeries(descriptor, None, k, coeffs), _zero_series(descriptor))
+    return DSer(LaurentSeries(descriptor, k, coeffs), _zero_series(descriptor))
 
 
 def _eval_poly_dser(poly, x):
@@ -590,18 +515,14 @@ def _expand(cover, hs, center, length, delta, eps_hs):
     return total
 
 
-def ord_at_critical(form, center):
-    """Exact vanishing order of a form (or combination) at a critical point.
+def ord_at_critical(combo, center):
+    """Exact vanishing order of a combination at a critical point.
 
     When the terms' orders ``ord_single_form`` are pairwise distinct the
     order is their minimum; when some tie, the local expansion is built
     once, up to the Riemann-Hurwitz bound ``_order_bound``, with no
     retry.  The input must be nonzero.
     """
-    if isinstance(form, KummerForm):
-        combo = FormCombination.from_form(form)
-    else:
-        combo = form
     if combo.is_zero():
         raise ValueError("the zero form has no order")
     orders = _term_orders(combo.cover, combo.hs, center)
@@ -649,23 +570,21 @@ def _order_bound(combo):
 def _term_orders(cover, hs, center):
     """The ``ord_single_form`` of each nonzero term h_l z_l dx."""
     return [
-        ord_single_form(KummerForm(cover, level, h), center)
+        ord_single_form(cover, level, h, center)
         for level, h in enumerate(hs)
         if not h.is_zero()
     ]
 
 
-def ord_single_form(form, center):
-    """Closed-form order of h * z_l * dx at a critical point."""
-    cover = form.cover
-    l = form.level
-    if form.is_zero():
+def ord_single_form(cover, level, h, center):
+    """Closed-form order of h * z_level * dx at a critical point."""
+    if h.is_zero():
         raise ValueError("the zero form has no order")
     mj = cover.m_at(center)
     if center is INF:
-        fin = sum(orb[l] for orb in cover.orbits)
+        fin = sum(orb[level] for orb in cover.orbits)
         ord_z = -(mj * fin) // cover.m
-        return mj * form.h.ord_at(INF) + ord_z - mj - 1
+        return mj * h.ord_at(INF) + ord_z - mj - 1
     tau = cover.taus[center]
-    ord_z = mj * cover.orbits[center][l] // cover.m
-    return mj * form.h.ord_at(tau) + ord_z + mj - 1
+    ord_z = mj * cover.orbits[center][level] // cover.m
+    return mj * h.ord_at(tau) + ord_z + mj - 1

@@ -5,99 +5,20 @@ delta_j; the eigenforms pick up epsilon-corrections theta_i whose
 exactness (equivalently, membership in the Cartier kernel) is a linear
 condition.  Solving it produces the lifted datum; specialty of the lift
 at each new point is then read off from honest local expansions over
-k[eps], and the generic failure of specialty along every direction is
-the rigidity statement.
+k[eps] (``cartier.DSer``), and the generic failure of specialty along
+every direction is the rigidity statement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
 from . import cartier, sigdata
-from .algebra import Poly, RationalFunction, series_at
+from .algebra import FieldDescriptor, Poly, RationalFunction, series_at
 from .homcoh import rank_mod_p, solve_mod_p
-
-
-class DualNumber:
-    """a + eps*b with eps^2 = 0, over a fixed finite field."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=None):
-        self.a = a
-        self.b = b if b is not None else a.descriptor.zero()
-        if self.b.descriptor != a.descriptor:
-            raise ValueError("field mismatch in dual number")
-
-    @property
-    def descriptor(self):
-        return self.a.descriptor
-
-    def _coerce(self, other):
-        if isinstance(other, DualNumber):
-            return other
-        return DualNumber(self.descriptor.element(other))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return DualNumber(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DualNumber(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return DualNumber(self.a * other.a, self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self.a.is_zero():
-            raise ZeroDivisionError("nilpotent dual number")
-        ia = self.a.inverse()
-        return DualNumber(ia, -(self.b * ia * ia))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = DualNumber(self.descriptor.one())
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
-
-    def is_unit(self):
-        return not self.a.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, DualNumber):
-            other = self._coerce(other)
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"({self.a!r} + eps*{self.b!r})"
 
 
 @dataclass(frozen=True)
@@ -296,10 +217,8 @@ def _specialty_expansions(deformed, k):
     cover = datum.cover
     s = cover.s
     d = datum.descriptor
-    from .algebra import FieldDescriptor
-
     sub = FieldDescriptor.get(d.p, s)
-    big = FieldDescriptor.get(d.p, _lcm(d.r, s))
+    big = FieldDescriptor.get(d.p, lcm(d.r, s))
     datum_b = datum.embedded(big)
     delta_map = {slot: deformed.delta[k].embed(big)}
     thetas = [t.embed(big) for t in deformed.h]
@@ -324,13 +243,7 @@ def _specialty_expansions(deformed, k):
         yield ser, target
 
 
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
-def rigidity_check(datum, directions=None):
+def rigidity_check(datum):
     """No nonzero tangent direction keeps the lift special everywhere.
 
     For every coordinate direction and every nonzero scalar the lifted
@@ -348,15 +261,14 @@ def rigidity_check(datum, directions=None):
     report["zero_direction_special"] = all(
         is_j_special(lifted0, k) for k in range(n_new)
     )
-    if directions is None:
-        directions = []
-        for k in range(n_new):
-            for c in d.elements():
-                if c.is_zero():
-                    continue
-                vec = [d.zero()] * n_new
-                vec[k] = c
-                directions.append(tuple(vec))
+    directions = []
+    for k in range(n_new):
+        for c in d.elements():
+            if c.is_zero():
+                continue
+            vec = [d.zero()] * n_new
+            vec[k] = c
+            directions.append(tuple(vec))
     all_fail = True
     for vec in directions:
         lifted = lift_datum(datum, vec)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
@@ -120,23 +121,6 @@ class CochainComplex:
             raise IndexError(f"degree {degree} outside the complex")
         return i
 
-    def to_json(self):
-        return {
-            "p": self.p,
-            "start_degree": self.start_degree,
-            "dims": list(self.dims),
-            "matrices": [M.tolist() for M in self.matrices],
-        }
-
-    @staticmethod
-    def from_json(obj):
-        return CochainComplex(
-            obj["p"],
-            tuple(obj["dims"]),
-            tuple(np.array(M, dtype=np.int64) for M in obj["matrices"]),
-            obj.get("start_degree", 0),
-        )
-
 
 def cohomology_dims(C):
     """dim H^i for every degree of the complex (rank-nullity over F_p)."""
@@ -147,10 +131,6 @@ def cohomology_dims(C):
         rout = ranks[i] if i < len(ranks) else 0
         out.append(n - rout - rin)
     return out
-
-
-def euler_characteristic(C):
-    return sum((-1) ** i * n for i, n in enumerate(C.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +171,6 @@ def cech_line_bundle(p, d, window=None):
 # graded modules over a diagonalizable group scheme, with tame H
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @dataclass(frozen=True)
 class GradedHModule:
     """A V-graded module, V = (Z/p)^s, with a cyclic H of order m acting.
@@ -216,7 +190,7 @@ class GradedHModule:
     scalars: dict = field(compare=False)
 
     def __post_init__(self):
-        if _gcd(self.m, self.p) != 1:
+        if gcd(self.m, self.p) != 1:
             raise ValueError("|H| must be prime to p")
         # T^m = identity on V
         for phi in self.characters():
@@ -245,11 +219,6 @@ class GradedHModule:
             sum(self.T[i][j] * phi[j] for j in range(self.s)) % self.p
             for i in range(self.s)
         )
-
-    def apply_T_power(self, phi, k):
-        for _ in range(k):
-            phi = self.apply_T(phi)
-        return phi
 
     def basis(self):
         out = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from . import cartier, sigdata
 from .algebra import (
@@ -24,10 +24,6 @@ from .algebra import (
     RationalFunction,
     nth_root_with_extension,
 )
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class DeformationDatum:
     def field_with_roots(self):
         """Smallest extension containing the datum and the m-th roots of 1."""
         s = self.signature.s
-        return FieldDescriptor.get(self.descriptor.p, _lcm(self.descriptor.r, s))
+        return FieldDescriptor.get(self.descriptor.p, lcm(self.descriptor.r, s))
 
     def embedded(self, target):
         if target == self.descriptor:
@@ -85,14 +81,21 @@ class DeformationDatum:
     def from_json(obj):
         """Read a datum document, checking its contract.
 
-        One tau per new point of the signature and one epsilon and one
-        lambda per level; every element in ``field`` (its p, r and
-        canonical modulus); tau distinct and outside {0, 1}; epsilon and
-        lambda units.  A violation raises ValueError naming it.
+        Every p, m, s, r, nu, b0, modulus entry and coefficient is an int
+        (not a bool or a float) and tau, epsilon and lambda are lists; the
+        signature is admissible (``sigdata.validate_signature``); one tau per new
+        point of the signature and one epsilon and one lambda per level;
+        every element in ``field`` (its p, r and canonical modulus); tau
+        distinct and outside {0, 1}; epsilon and lambda units.  A
+        violation raises ValueError naming it.
         """
         if obj.get("schema") != "defdatum/1":
             raise ValueError("unknown schema")
+        _check_ints(obj)
         sig = sigdata.Signature.from_json(obj["signature"])
+        report = sigdata.validate_signature(sig)
+        if not report.passed:
+            raise ValueError(f"signature: {'; '.join(report.failures)}")
         fld = obj["field"]
         descriptor = FieldDescriptor.get(fld["p"], fld["r"])
         if list(descriptor.modulus) != [c % descriptor.p for c in fld["modulus"]]:
@@ -101,6 +104,8 @@ class DeformationDatum:
             raise ValueError("field: characteristic differs from the signature's p")
 
         def elements(key, count):
+            if not isinstance(obj[key], list):
+                raise ValueError(f"{key}: not a list")
             if len(obj[key]) != count:
                 raise ValueError(f"{key}: {len(obj[key])} entries, the signature needs {count}")
             out = tuple(FieldElement.from_json(e) for e in obj[key])
@@ -116,6 +121,29 @@ class DeformationDatum:
         if any(e.is_zero() for e in epsilon + lam):
             raise ValueError("epsilon and lambda must be units")
         return DeformationDatum(sig, descriptor, tau, epsilon, lam)
+
+
+_INT_KEYS = frozenset(("p", "m", "s", "r", "nu", "b0"))
+_INT_LIST_KEYS = frozenset(("modulus", "coeffs"))
+
+
+def _check_ints(node):
+    """ValueError unless, anywhere in a document, every p, m, s, r, nu and
+    b0 is an int (not a bool or a float) and every modulus and coeffs a
+    list of ints."""
+    if isinstance(node, list):
+        for item in node:
+            _check_ints(item)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            if key in _INT_KEYS:
+                if type(value) is not int:
+                    raise ValueError(f"{key}: {value!r} is not an integer")
+            elif key in _INT_LIST_KEYS:
+                if not isinstance(value, list) or any(type(v) is not int for v in value):
+                    raise ValueError(f"{key}: {value!r} is not a list of integers")
+            else:
+                _check_ints(value)
 
 
 def build_cover(sig, descriptor, tau_new):
@@ -231,14 +259,14 @@ def search_field(sig, descriptor):
     return found
 
 
-def verify_datum(datum, check_phi=True):
+def verify_datum(datum):
     """Full verification battery; returns a dict of named booleans.
 
     Everything is recomputed from scratch: signature admissibility and
     purity, the levelwise Cartier eigenform conditions, vanishing orders
     of the eigenforms at every critical point against nu_j m_j + a_j - 1
-    (with -1 at wild points), the isotypic cohomology, and optionally
-    the F_p-rational fixed basis.
+    (with -1 at wild points), the isotypic cohomology, and the
+    F_p-rational fixed basis.
     """
     sig = datum.signature
     checks = {}
@@ -282,14 +310,13 @@ def verify_datum(datum, check_phi=True):
     checks["isotypic_cohomology_trivial"] = all(
         pair == (0, 0) for pair in inv["isotypic_cohomology"]
     )
-    if check_phi:
-        try:
-            phis = cartier.phi_basis(datum)
-            checks["phi_fixed"] = all(cartier.is_cartier_fixed(ph) for ph in phis)
-            checks["phi_count"] = len(phis) == s
-        except ArithmeticError:
-            checks["phi_fixed"] = False
-            checks["phi_count"] = False
+    try:
+        phis = cartier.phi_basis(datum)
+        checks["phi_fixed"] = all(cartier.is_cartier_fixed(ph) for ph in phis)
+        checks["phi_count"] = len(phis) == s
+    except ArithmeticError:
+        checks["phi_fixed"] = False
+        checks["phi_count"] = False
     checks["passed"] = all(checks.values())
     return checks
 

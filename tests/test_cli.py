@@ -1,10 +1,13 @@
 """Command line interface: exit codes, determinism, config handling."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defdatum.cli import main
 
@@ -140,6 +143,22 @@ def p5_datum_with(**changes):
     return json.dumps({**P5_DATUM, **changes})
 
 
+# the datum of `search --p 3 --m 2 --points 3 --r 1`: z^2 = x(x - 1) over F_3
+P3_DATUM = json.loads((DATA / "search-p3-m2-points3-r1.json").read_text())["results"][0]["data"][0]
+del P3_DATUM["verification"]  # the search's verdict, not part of the datum
+
+
+def p3_datum_with_points(points):
+    return json.dumps({**P3_DATUM, "signature": {**P3_DATUM["signature"], "points": points}})
+
+
+def p3_points_with(j, **fields):
+    """The P3 datum's points, point j's fields updated."""
+    points = [dict(pt) for pt in P3_DATUM["signature"]["points"]]
+    points[j].update(fields)
+    return points
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -161,6 +180,17 @@ def p5_datum_with(**changes):
         json.dumps(
             {"schema": "defdatum/1", "signature": {"p": 2, "m": -3, "s": 2, "points": []}}
         ),
+        # inadmissible signatures and non-integers ended in tracebacks
+        # (exit 1) or verified with the value truncated (exit 0)
+        p3_datum_with_points([]),
+        p3_datum_with_points(p3_points_with(0, role="base")),
+        p3_datum_with_points(P3_DATUM["signature"]["points"][:2]),
+        p3_datum_with_points(p3_points_with(0, b0=1.0)),
+        p3_datum_with_points(p3_points_with(0, b0=2)),
+        p3_datum_with_points(p3_points_with(2, nu=2)),
+        p3_datum_with_points(p3_points_with(2, nu=True)),
+        json.dumps({**P3_DATUM, "epsilon": [{**P3_DATUM["epsilon"][0], "coeffs": [1.5]}]}),
+        json.dumps({**P3_DATUM, "field": {**P3_DATUM["field"], "r": 1.0}}),
     ],
 )
 def test_verify_malformed_document_is_a_usage_error(runner, tmp_path, text):
@@ -171,6 +201,64 @@ def test_verify_malformed_document_is_a_usage_error(runner, tmp_path, text):
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     assert "is not a datum document" in res.output
+
+
+def _paths(node, path=()):
+    """The path of every dict value and list entry below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+P3_LEAVES = [p for p in _paths(P3_DATUM) if not isinstance(_at(P3_DATUM, p), (dict, list))]
+P3_KEYS = [p for p in _paths(P3_DATUM) if isinstance(_at(P3_DATUM, p[:-1]), dict)]
+# small ints, so that a mutated p or r keeps field construction cheap
+REPLACEMENTS = st.one_of(
+    st.integers(-3, 12),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(-3, 12), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 12), max_size=2),
+)
+DELETE = object()
+MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(P3_LEAVES), REPLACEMENTS),
+    st.tuples(st.sampled_from(P3_KEYS), st.just(DELETE)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MUTATIONS)
+def test_verify_of_a_mutated_golden_datum_exits_0_1_or_2(mutation):
+    # one leaf of the golden datum replaced, or one key deleted: verify
+    # passes, fails or refuses the document, and never raises
+    path, value = mutation
+    doc = json.loads(json.dumps(P3_DATUM))
+    parent = _at(doc, path[:-1])
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        datum = Path(tmp) / "datum.json"
+        datum.write_text(json.dumps(doc))
+        res = CliRunner().invoke(main, ["verify", str(datum)])
+    assert res.exit_code in (0, 1, 2)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
 
 
 def test_well_formed_datum_that_fails_verification_exits_1(runner, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from defdatum import cartier, deform, search, sigdata
 from defdatum.algebra import FieldDescriptor
 from defdatum.deform import (
-    DualNumber,
     is_j_special,
     kodaira_spencer,
     lift_datum,
@@ -34,29 +33,6 @@ def p3_two_level_datum():
     data = search.search_field(sig_of(3, 4, (3, 0, 0), new=(1,)), F3)
     assert len(data) == 1
     return data[0]
-
-
-def test_dual_number_ring():
-    a = DualNumber(F5.element(2), F5.element(3))
-    b = DualNumber(F5.element(4), F5.element(1))
-    assert a + b == DualNumber(F5.element(1), F5.element(4))
-    assert a * b == DualNumber(F5.element(3), F5.element(2 * 1 + 3 * 4))
-    eps = DualNumber(F5.element(0), F5.element(1))
-    assert (eps * eps).is_zero()
-    assert a * a.inverse() == DualNumber(F5.one())
-    assert not eps.is_unit()
-    with pytest.raises(ZeroDivisionError):
-        eps.inverse()
-
-
-def test_dual_number_power():
-    a = DualNumber(F5.element(2), F5.element(1))
-    acc = DualNumber(F5.one())
-    for _ in range(7):
-        acc = acc * a
-    assert a**7 == acc
-    assert a**0 == DualNumber(F5.one())
-    assert a**-1 == a.inverse()
 
 
 def test_zero_direction_lifts_to_zero_correction():

@@ -313,13 +313,19 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
         pytest.param(
             "rigidity-p5-m2-points4-r1", "rigidity --p 5 --m 2 --points 4 --r 1", id="rigidity"
         ),
+        pytest.param(
+            "rigidity-p3-m4-points4-r2",
+            "rigidity --p 3 --m 4 --points 4 --r 2",
+            id="rigidity-two-level",
+        ),
     ],
 )
 def test_cohomology_document_matches_golden(runner, golden, args):
     # the cohomology documents were written by the dense-matrix cohomology,
     # the search and rigidity documents by the expansions with heuristic
-    # windows and retries; "versions" holds the Python version, so it is
-    # taken from this run
+    # windows and retries, the two-level rigidity document by expansions
+    # over a dual-number series type; "versions" holds the Python version,
+    # so it is taken from this run
     golden = DATA / f"{golden}.json"
     res = invoke(runner, *args.split())
     assert res.exit_code == 0

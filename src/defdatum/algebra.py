@@ -938,6 +938,26 @@ class LaurentSeries:
 
     __rmul__ = scale
 
+    def __pow__(self, e):
+        """self^e by repeated squaring; a negative e inverts first."""
+        if e < 0:
+            return self.inverse() ** -e
+        # the unit gets this series' window so it does not truncate products
+        d = self.descriptor
+        result = LaurentSeries(d, 0, [d.one()] + [d.zero()] * max(0, self.trunc - self.start))
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def window(self):
+        """(start, trunc): the orders the series knows."""
+        return self.start, self.trunc
+
     def shift(self, k):
         """Multiply by t^k."""
         return LaurentSeries(

@@ -8,25 +8,32 @@ integer exponents e_j = (b^(i+1) - p b^(i))/m; the root-of-unity
 ambiguity in that relation is fixed as 1 (any other choice is absorbed
 by the eigenform constants).
 
-Local expansions at critical points run over dual-number coefficients
-throughout (``DSer``, a pair of plain series); the purely algebraic
-callers just leave the epsilon channel zero.
+Local expansions at critical points are plain Laurent series.  Over
+the dual numbers k[eps], with the branch points moved to tau_k + eps
+delta_k and the h_l lifted to h_l + eps theta_l, the expansion at c is
+base + eps * rest: the base is the expansion of sum_l h_l z_l dx, and
+the rest is the expansion of the derived form ``epsilon_form``,
+
+    sum_l (theta_l + delta_c h_l' + h_l (1/m) sum_{k != c} (delta_c - delta_k) b_k^(l) / (x - tau_k)) z_l dx,
+
+because in the local parameter x = tau_c + eps delta_c + t^{m_c} only
+the other factors of the radicand move (its docstring has the
+derivation).
 
 Precision comes from valuations, and nothing is retried.  An expansion
 at the center c is built once from series of
 
-    L = max(upto, v) - v + 1 + [c finite] m_c (1 + D + [delta_c != 0])
+    L = max(upto, v) - v + 1 + [c finite] m_c (1 + D)
 
 terms: v is the least ``ord_single_form`` (the exact order of a term
-h_l z_l dx) over the nonzero h_l and theta_l, m_c the ramification
-index at c and D the largest multiplicity of tau_c in their numerators
-and denominators.  Products, inverses and m-th roots of series keep the
-least relative precision of their factors.  It is lost only by the
-factor x - tau_c = t^{m_c} of the radicand (m_c), by a polynomial with a
-D-fold zero at tau_c (m_c D, and m_c more at tau_c = 0, where x itself
-starts at t^{m_c}), and in the epsilon channel of a moving center, whose
-part delta_c P'(x) starts m_c below P(x) (m_c); nothing is lost at
-infinity.  So every coefficient through ``upto`` is exact.
+h_l z_l dx) over the nonzero h_l, m_c the ramification index at c and D
+the largest multiplicity of tau_c in their numerators and denominators.
+Products, inverses and m-th roots of series keep the least relative
+precision of their factors.  It is lost only by the factor x - tau_c =
+t^{m_c} of the radicand (m_c) and by a polynomial with a D-fold zero at
+tau_c (m_c D, and m_c more at tau_c = 0, where x itself starts at
+t^{m_c}); nothing is lost at infinity.  So every coefficient through
+``upto`` is exact.  The derived form is sized by its own orders.
 """
 
 from __future__ import annotations
@@ -43,8 +50,6 @@ from .algebra import (
     RationalFunction,
     nth_root_with_extension,
 )
-
-_BIG = 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -318,148 +323,64 @@ def _fp_rank(elements):
 
 
 # ---------------------------------------------------------------------------
-# local expansions (dual-number coefficients via a pair of plain series)
-
-
-def _zero_series(descriptor):
-    return LaurentSeries(descriptor, _BIG, [], _BIG - 1)
-
-
-@dataclass(frozen=True)
-class DSer:
-    """A Laurent series over the dual numbers: base + epsilon * eps."""
-
-    base: LaurentSeries
-    eps: LaurentSeries
-
-    @property
-    def descriptor(self):
-        return self.base.descriptor
-
-    def __add__(self, other):
-        return DSer(self.base + other.base, self.eps + other.eps)
-
-    def __sub__(self, other):
-        return DSer(self.base - other.base, self.eps - other.eps)
-
-    def __mul__(self, other):
-        return DSer(
-            self.base * other.base, self.base * other.eps + self.eps * other.base
-        )
-
-    def inverse(self):
-        ib = self.base.inverse()
-        return DSer(ib, -(ib * ib * self.eps))
-
-    def power(self, e):
-        if e < 0:
-            return self.inverse().power(-e)
-        # give the unit a wide window so it does not truncate products
-        result = _monomial(self.descriptor, 1, 0, max(0, self.base.trunc - self.base.start) + 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def nth_root(self, m, lead_root):
-        y = self.base.nth_root(m, lead_root)
-        # (y + eps z)^m = base + eps * e  =>  z = e * y / (m * base)
-        num = self.eps * y
-        z = (num * self.base.inverse()).scale(
-            self.descriptor.element(m).inverse()
-        )
-        return DSer(y, z)
-
-    def derivative(self):
-        return DSer(self.base.derivative(), self.eps.derivative())
-
-    def coeff(self, n):
-        return self.base.coeff(n), self.eps.coeff(n)
-
-    def window(self):
-        return (
-            min(self.base.start, self.eps.start),
-            min(self.base.trunc, self.eps.trunc),
-        )
-
-
-def _const_dser(descriptor, value, eps_value=None, length=1):
-    base = LaurentSeries(
-        descriptor, 0, [descriptor.element(value)] + [descriptor.zero()] * (length - 1)
-    )
-    if eps_value is None or descriptor.element(eps_value).is_zero():
-        eps = _zero_series(descriptor)
-    else:
-        eps = LaurentSeries(
-            descriptor, 0, [descriptor.element(eps_value)] + [descriptor.zero()] * (length - 1)
-        )
-    return DSer(base, eps)
+# local expansions
 
 
 def _monomial(descriptor, c, k, length):
-    """c t^k, known through order k + length - 1, with a zero epsilon part."""
+    """c t^k, known through order k + length - 1."""
     coeffs = [descriptor.element(c)] + [descriptor.zero()] * (length - 1)
-    return DSer(LaurentSeries(descriptor, k, coeffs), _zero_series(descriptor))
+    return LaurentSeries(descriptor, k, coeffs)
 
 
-def _eval_poly_dser(poly, x):
+def _eval_poly(poly, x):
     d = poly.descriptor
     acc = None
     for c in reversed(poly.coeffs):
-        cd = _const_dser(d, c, length=x.base.trunc - x.base.start + 1)
+        cd = _monomial(d, c, 0, x.trunc - x.start + 1)
         acc = cd if acc is None else acc * x + cd
-    if acc is None:
-        zero = _zero_series(d)
-        return DSer(zero, zero)
     return acc
 
 
-def _eval_rational_dser(f, x):
-    num = _eval_poly_dser(f.numerator, x)
-    den = _eval_poly_dser(f.denominator, x)
-    return num * den.inverse()
+def expand_combination(cover, hs, center, upto):
+    """Expansion of a nonzero sum_l h_l z_l dx at a critical point.
 
-
-def expand_combination(cover, hs, center, upto, delta=None, eps_hs=None):
-    """Expansion of sum_l (h_l + eps * theta_l) z_{l,R} dx at a critical point.
-
-    ``center`` is a finite branch index or INF; ``delta`` maps branch
-    indices to the epsilon-part of the branch coordinate (the point at
-    infinity never moves); ``eps_hs`` are the theta_l.  The local
-    parameter is t with x = tau_R + t^{m_j} (resp. x = t^{-m_inf});
-    returns the dt-coefficient DSer with coefficients up to order
-    ``upto``, over the cover's field or the minimal extension needed for
-    the branch constant of z.
+    ``center`` is a finite branch index or INF.  The local parameter is t
+    with x = tau_c + t^{m_c} (resp. x = t^{-m_inf}); returns the
+    dt-coefficient with coefficients up to order ``upto``, over the
+    cover's field or the minimal extension needed for the branch
+    constant of z.  Over the dual numbers the epsilon-part is the
+    expansion of ``epsilon_form``.
 
     The branch of z_0 is fixed by the least m-th root (serialization
     order) of the leading constant; higher levels follow from the
     Frobenius recursion, so all levels use consistent branches.
 
-    Every series has L = max(upto, v) - v + 1 + [c finite] m_c (1 + D +
-    [delta_c != 0]) terms, from the valuations named and justified in the
-    module docstring.  The expansion is built once; there is no retry,
-    and a window ending below ``upto`` raises ArithmeticError.
+    Every series has L = max(upto, v) - v + 1 + [c finite] m_c (1 + D)
+    terms, from the valuations named and justified in the module
+    docstring.  The expansion is built once; there is no retry, and a
+    window ending below ``upto`` raises ArithmeticError.
     """
-    delta = delta or {}
-    fs = [f for f in (*hs, *(eps_hs or ())) if not f.is_zero()]
-    orders = _term_orders(cover, hs, center) + _term_orders(cover, eps_hs or (), center)
-    v = min(orders, default=upto)
+    orders = _term_orders(cover, hs, center)
+    if not orders:
+        raise ValueError("the zero form has no expansion")
+    v = min(orders)
     length = max(upto, v) - v + 1
     if center is not INF:
         tau = cover.taus[center]
-        mult = max((g.multiplicity_at(tau) for f in fs for g in (f.numerator, f.denominator)), default=0)
-        moving = center in delta and not delta[center].is_zero()
-        length += cover.m_at(center) * (1 + mult + moving)
-    out = _expand(cover, hs, center, length, delta, eps_hs)
+        mult = max(
+            g.multiplicity_at(tau)
+            for h in hs
+            if not h.is_zero()
+            for g in (h.numerator, h.denominator)
+        )
+        length += cover.m_at(center) * (1 + mult)
+    out = _expand(cover, hs, center, length)
     if out.window()[1] < upto:
         raise ArithmeticError("expansion ends below upto: the precision rule is broken")
     return out
 
 
-def _expand(cover, hs, center, length, delta, eps_hs):
+def _expand(cover, hs, center, length):
     """``expand_combination`` from series of ``length`` terms.
 
     The radicand's leading coefficient, prod_{k != c} (tau_c -
@@ -468,7 +389,6 @@ def _expand(cover, hs, center, length, delta, eps_hs):
     """
     m = cover.m
     mj = cover.m_at(center)
-    s = cover.s
     lead = cover.descriptor.one()
     if center is not INF:
         for k, (tau_k, orbit) in enumerate(zip(cover.taus, cover.orbits)):
@@ -478,41 +398,76 @@ def _expand(cover, hs, center, length, delta, eps_hs):
     if desc != cover.descriptor:
         cover = cover.embed(desc)
         hs = tuple(h.embed(desc) for h in hs)
-        eps_hs = tuple(h.embed(desc) for h in eps_hs) if eps_hs else None
-        delta = {k: v.embed(desc) for k, v in delta.items()}
     if center is INF:
         x = _monomial(desc, 1, -mj, length)
         dx = x.derivative()
     else:
-        # x = tau_c + eps delta_c + t^{m_c}
-        x = _const_dser(desc, cover.taus[center], delta.get(center), length)
-        x = x + _monomial(desc, 1, mj, length - mj)
+        x = _monomial(desc, cover.taus[center], 0, length) + _monomial(desc, 1, mj, length - mj)
         dx = _monomial(desc, mj, mj - 1, length)
-    # linear factors (x - tau_k) as dual series
-    factors = [x - _const_dser(desc, t, delta.get(k), length) for k, t in enumerate(cover.taus)]
+    factors = [x - _monomial(desc, t, 0, length) for t in cover.taus]
     # z_0 from the radicand, then the Frobenius recursion
-    rad = None
-    for fk, orbit in zip(factors, cover.orbits):
-        term = fk.power(orbit[0])
-        rad = term if rad is None else rad * term
-    if rad is None:
-        rad = _const_dser(desc, 1, None, length)
+    rad = _monomial(desc, 1, 0, length)
+    for k, (fk, orbit) in enumerate(zip(factors, cover.orbits)):
+        rad = fk ** orbit[0] if k == 0 else rad * fk ** orbit[0]
     zs = [rad.nth_root(m, root)]
-    for level in range(1, s):
-        z = zs[-1].power(desc.p)
+    for level in range(1, cover.s):
+        z = zs[-1] ** desc.p
         for fk, e in zip(factors, cover.step_exponents(level)):
             if e:
-                z = z * fk.power(e)
+                z = z * fk**e
         zs.append(z)
     total = None
-    for level in range(s):
-        coeff = _eval_rational_dser(hs[level], x)
-        if eps_hs is not None and not eps_hs[level].is_zero():
-            th = _eval_rational_dser(eps_hs[level], x)
-            coeff = DSer(coeff.base, coeff.eps + th.base)
-        term = coeff * zs[level] * dx
-        total = term if total is None else total + term
+    for h, z in zip(hs, zs):
+        if not h.is_zero():
+            term = _eval_poly(h.numerator, x) * _eval_poly(h.denominator, x).inverse() * z * dx
+            total = term if total is None else total + term
     return total
+
+
+def epsilon_form(combo, center, delta, thetas=None):
+    """The epsilon-part at ``center`` of sum_l (h_l + eps theta_l) z_l dx, as a form.
+
+    Over k[eps] the finite branch points move to tau_k + eps delta_k
+    (``delta`` maps branch indices to delta_k, absent ones are 0, and
+    infinity never moves, so delta_c = 0 there).  In the local parameter
+    x = tau_c + eps delta_c + t^{m_c} the center's own factor is exactly
+    t^{m_c}, and with x0 = tau_c + t^{m_c} (x0 = x at infinity) and
+    eps^2 = 0 every other factor is
+
+        x - tau_k - eps delta_k = (x0 - tau_k) (1 + eps (delta_c - delta_k) / (x0 - tau_k)).
+
+    So z_0 = z_0(x0) (1 + (eps/m) sum_{k != c} (delta_c - delta_k)
+    b_k^(0) / (x0 - tau_k)), and the step z_l = z_{l-1}^p prod (x -
+    tau_k)^{e_k} keeps that shape with b^(l): the p-th power kills the
+    epsilon-part and e_k = b_k^(l) / m mod p.  With h_l(x) = h_l(x0) +
+    eps delta_c h_l'(x0) and dx = dx0, the epsilon-part of the expansion
+    is the plain expansion of sum_l g_l z_l dx0 with
+
+        g_l = theta_l + delta_c h_l' + h_l (1/m) sum_{k != c} (delta_c - delta_k) b_k^(l) / (x - tau_k),
+
+    linear in (h, theta) and in delta.  At infinity g_l - theta_l is the
+    part forced on omega_l by the moving points alone.
+    """
+    cover = combo.cover
+    d = cover.descriptor
+    x = Poly.x(d)
+    zero = d.zero()
+    delta_c = delta.get(center, zero)
+    minv = d.element(cover.m).inverse()
+    out = []
+    for level, h in enumerate(combo.hs):
+        moved = RationalFunction(Poly(d, []), Poly.constant(d, 1))
+        for k, (tau, orbit) in enumerate(zip(cover.taus, cover.orbits)):
+            shift = delta_c - delta.get(k, zero)
+            if k != center and not shift.is_zero():
+                moved = moved + RationalFunction(
+                    Poly.constant(d, d.element(orbit[level]) * shift), x - Poly.constant(d, tau)
+                )
+        g = h * moved * minv
+        if not delta_c.is_zero():
+            g = g + h.derivative() * delta_c
+        out.append(g + thetas[level] if thetas else g)
+    return FormCombination(cover, tuple(out))
 
 
 def ord_at_critical(combo, center):
@@ -528,7 +483,7 @@ def ord_at_critical(combo, center):
     orders = _term_orders(combo.cover, combo.hs, center)
     if len(set(orders)) == len(orders):
         return min(orders)
-    order = expand_combination(combo.cover, combo.hs, center, _order_bound(combo)).base.order()
+    order = expand_combination(combo.cover, combo.hs, center, _order_bound(combo)).order()
     if order is None:
         # only possible on a disconnected cover: the form is zero on the
         # component through this point

@@ -26,11 +26,25 @@ def _merge(config, **flags):
     return out
 
 
+_INT_SETTINGS = ("p", "m", "points", "r", "seed", "budget")
+
+
 def _load_config(path):
+    """The settings of a --config file: a JSON object whose p, m, points,
+    r, seed and budget, where present, are integers (not bools)."""
     if path is None:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except ValueError as exc:
+        raise click.UsageError(f"--config {path} is not JSON ({exc})")
+    if not isinstance(config, dict):
+        raise click.UsageError(f"--config {path} is not a JSON object")
+    for key in _INT_SETTINGS:
+        if key in config and type(config[key]) is not int:
+            raise click.UsageError(f"--config {path}: {key} = {config[key]!r} is not an integer")
+    return config
 
 
 def _document(command, config, body):

@@ -5,7 +5,8 @@ delta_j; the eigenforms pick up epsilon-corrections theta_i whose
 exactness (equivalently, membership in the Cartier kernel) is a linear
 condition.  Solving it produces the lifted datum; specialty of the lift
 at each new point is then read off from honest local expansions over
-k[eps] (``cartier.DSer``), and the generic failure of specialty along
+k[eps], whose epsilon-part is the plain expansion of the derived form
+``cartier.epsilon_form``, and the generic failure of specialty along
 every direction is the rigidity statement.
 """
 
@@ -17,7 +18,7 @@ from math import lcm
 import numpy as np
 
 from . import cartier, sigdata
-from .algebra import FieldDescriptor, Poly, RationalFunction, series_at
+from .algebra import INF, FieldDescriptor, LaurentSeries, Poly, RationalFunction, series_at
 from .homcoh import rank_mod_p, solve_mod_p
 
 
@@ -42,25 +43,14 @@ def _new_slots(datum):
     return [(2 + k, j) for k, j in enumerate(sig.new_indices())]
 
 
-def _polar_part(datum, delta, level):
-    """The forced eps-part: -(eps_i/(m Q)) sum_j b_j^{(i)} delta_j/(x-tau_j)."""
-    sig = datum.signature
-    d = datum.descriptor
-    q = datum.q_poly
-    x = Poly.x(d)
-    total = RationalFunction(Poly(d, []), Poly.constant(d, 1))
-    for k, (slot, j) in enumerate(_new_slots(datum)):
-        if delta[k].is_zero():
-            continue
-        b = sig.orbit(j)[level]
-        tau = datum.tau[k]
-        term = RationalFunction(
-            Poly.constant(d, d.element(b) * delta[k]), x - Poly.constant(d, tau)
-        )
-        total = total + term
-    minv = d.element(sig.m).inverse()
-    scale = -(datum.epsilon[level] * minv)
-    return total * RationalFunction(Poly.constant(d, scale), q)
+def _polar_part(datum, delta):
+    """The forced eps-parts A_i = -(eps_i/(m Q)) sum_j b_j^{(i)} delta_j/(x-tau_j).
+
+    One per level: the epsilon-part of omega_i at infinity, which never
+    moves, when only the new points do.
+    """
+    moved = {slot: delta[k] for k, (slot, _) in enumerate(_new_slots(datum))}
+    return cartier.epsilon_form(cartier.omega_combination(datum), INF, moved).hs
 
 
 def _correction_space(datum):
@@ -122,11 +112,11 @@ def lift_datum(datum, delta):
     s = cover.s
     basis = _correction_space(datum)
     gens = [d.generator() ** t for t in range(d.r)]
+    polar = _polar_part(datum, delta)
     corrections = []
     for i in range(s):
         step = cover.step_factor(i)
-        a_i = _polar_part(datum, delta, i)
-        rhs = -cartier.cartier_rational(a_i * step)
+        rhs = -cartier.cartier_rational(polar[i] * step)
         images = []
         for w in basis:
             for g in gens:
@@ -193,54 +183,52 @@ def is_j_special(deformed, k):
     c in F_{p^s}, scaled onto the omega_i) is expanded at the moved
     branch point; specialty needs every coefficient below
     M = m_j + a_j - 1 to vanish identically (epsilon-parts included)
-    and the coefficient at M to be a unit.  Each expansion is sized by
-    ``expand_combination`` from valuations, one build per element.
+    and the coefficient at M to be a unit.  Each of the two parts is
+    sized by ``expand_combination`` from valuations, one build each.
     """
-    for ser, target in _specialty_expansions(deformed, k):
-        for n in range(min(ser.base.start, ser.eps.start), target):
-            bb, ee = ser.coeff(n)
-            if not bb.is_zero() or not ee.is_zero():
-                return False
-        bb, _ = ser.coeff(target)
-        if bb.is_zero():
+    for base, eps, target in _specialty_expansions(deformed, k):
+        # a series starts at its first nonzero coefficient
+        if base.order() != target or eps.start < target:
             return False
     return True
 
 
 def _specialty_expansions(deformed, k):
-    """(expansion, M) at the k-th new point for each nonzero c in F_{p^s}."""
+    """(base, epsilon-part, M) at the k-th new point per nonzero c in F_{p^s}.
+
+    The epsilon-part's form is linear in c level by level, so it is
+    derived once and scaled; when it is zero its expansion is the zero
+    series.
+    """
     datum = deformed.base
     sig = datum.signature
     slot, j = _new_slots(datum)[k]
     m_j = sig.m_j(j)
     target = m_j + sig.a_min(j) - 1
-    cover = datum.cover
-    s = cover.s
+    upto = target + m_j
+    s = datum.cover.s
     d = datum.descriptor
     sub = FieldDescriptor.get(d.p, s)
     big = FieldDescriptor.get(d.p, lcm(d.r, s))
-    datum_b = datum.embedded(big)
-    delta_map = {slot: deformed.delta[k].embed(big)}
-    thetas = [t.embed(big) for t in deformed.h]
-    inv_q = RationalFunction(Poly.constant(big, 1), datum_b.q_poly)
+    unit = cartier.omega_combination(datum.embedded(big))
+    eps_unit = cartier.epsilon_form(
+        unit, slot, {slot: deformed.delta[k].embed(big)}, [t.embed(big) for t in deformed.h]
+    )
     for c0 in sub.elements():
         if c0.is_zero():
             continue
         c = c0.embed(big)
-        hs, eps_hs = [], []
-        for i in range(s):
-            ci = c ** (d.p**i)
-            hs.append(inv_q * (datum_b.epsilon[i] * ci))
-            eps_hs.append(thetas[i] * ci)
-        ser = cartier.expand_combination(
-            datum_b.cover,
-            tuple(hs),
-            slot,
-            target + m_j,
-            delta=delta_map,
-            eps_hs=tuple(eps_hs),
+        cs = [c ** (d.p**i) for i in range(s)]
+        base = cartier.expand_combination(
+            unit.cover, tuple(h * ci for h, ci in zip(unit.hs, cs)), slot, upto
         )
-        yield ser, target
+        if eps_unit.is_zero():
+            eps = LaurentSeries(big, upto + 1, [])
+        else:
+            eps = cartier.expand_combination(
+                unit.cover, tuple(g * ci for g, ci in zip(eps_unit.hs, cs)), slot, upto
+            )
+        yield base, eps, target
 
 
 def rigidity_check(datum):

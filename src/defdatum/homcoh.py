@@ -276,21 +276,16 @@ def _cochain_basis(M, n):
 
 
 def _cochain_differential(M, n, v):
-    """Sparse differential C^n -> C^{n+1} of a sparse vector v (dict)."""
-    out = {}
-    p = M.p
-    for key, coeff in v.items():
-        *phis, b = key
-        psi = b[0]
-        terms = []
-        terms.append(((tuple([0] * M.s), *phis, b), 1))
-        for nu in range(1, n + 1):
-            dup = (*phis[: nu - 1], phis[nu - 1], phis[nu - 1], *phis[nu:], b)
-            terms.append((dup, (-1) ** nu))
-        terms.append(((*phis, psi, b), (-1) ** (n + 1)))
-        for key2, sign in terms:
-            out[key2] = (out.get(key2, 0) + sign * coeff) % p
-    return {k: c for k, c in out.items() if c}
+    """Sparse differential C^n -> C^{n+1} of a sparse vector v (dict).
+
+    The bar word (phi_1..phi_n, b) is the resolution's word (1, phi_1..
+    phi_n, b) with the trivial character in front: its
+    ``_resolution_differential`` keeps that letter first in every term,
+    and dropping it again gives the bar differential.
+    """
+    trivial = tuple([0] * M.s)
+    lifted = {(trivial, *key): c for key, c in v.items()}
+    return {key[1:]: c for key, c in _resolution_differential(M, n, lifted).items()}
 
 
 def _invariant_basis(M, basis):

@@ -83,7 +83,8 @@ class DeformationDatum:
 
         Every p, m, s, r, nu, b0, modulus entry and coefficient is an int
         (not a bool or a float) and tau, epsilon and lambda are lists; the
-        signature is admissible (``sigdata.validate_signature``); one tau per new
+        signature is admissible (``sigdata.validate_signature``) and in
+        canonical order (``sigdata.canonicalize``); one tau per new
         point of the signature and one epsilon and one lambda per level;
         every element in ``field`` (its p, r and canonical modulus); tau
         distinct and outside {0, 1}; epsilon and lambda units.  A
@@ -96,6 +97,9 @@ class DeformationDatum:
         report = sigdata.validate_signature(sig)
         if not report.passed:
             raise ValueError(f"signature: {'; '.join(report.failures)}")
+        if sig != sigdata.canonicalize(sig):
+            # tau is listed in the canonical slot order of the new points
+            raise ValueError("signature: points are not in canonical order")
         fld = obj["field"]
         descriptor = FieldDescriptor.get(fld["p"], fld["r"])
         if list(descriptor.modulus) != [c % descriptor.p for c in fld["modulus"]]:

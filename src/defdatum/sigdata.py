@@ -278,6 +278,8 @@ def canonicalize(sig):
 
 
 def _check_enumeration_args(p, m, n_points):
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     if gcd(p, m) != 1:
         raise ValueError("p must be invertible mod m")
     if n_points < 3:

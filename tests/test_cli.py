@@ -81,6 +81,44 @@ def test_config_file_and_flags_agree_flags_win(runner, tmp_path):
     assert from_file.output == from_flags.output  # the --r flag overrode the file
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        "{not json",
+        json.dumps({"p": "3", "m": 2, "points": 3, "r": 1}),
+        json.dumps({"p": 3, "m": 2, "points": 3, "r": True}),
+        json.dumps({"p": 3, "m": 2.0, "points": 3, "r": 1}),
+    ],
+)
+def test_malformed_config_file_is_a_usage_error(runner, tmp_path, text):
+    # each ended in a traceback with exit 1, the code of a failed verification
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    res = invoke(runner, "search", "--config", str(cfg))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "--config" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "enumerate --p 3 --m -2 --points 4",
+        "search --p 3 --m -2 --points 4 --r 1",
+        "rigidity --p 3 --m -2 --points 4 --r 1",
+    ],
+)
+def test_negative_m_is_a_usage_error(runner, args):
+    # --m -2 used to exit 0 with an empty document
+    res = invoke(runner, *args.split())
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "m must be a positive integer" in res.output
+
+
 def test_out_flag_writes_the_document(runner, tmp_path):
     out = tmp_path / "doc.json"
     res = invoke(
@@ -191,6 +229,16 @@ def p3_points_with(j, **fields):
         p3_datum_with_points(p3_points_with(2, nu=True)),
         json.dumps({**P3_DATUM, "epsilon": [{**P3_DATUM["epsilon"][0], "coeffs": [1.5]}]}),
         json.dumps({**P3_DATUM, "field": {**P3_DATUM["field"], "r": 1.0}}),
+        # tau follows the canonical slot order, so a reordered signature
+        # failed verification (exit 1) instead of being refused
+        p5_datum_with(
+            signature={
+                **P5_DATUM["signature"],
+                "points": P5_DATUM["signature"]["points"][2::-1]
+                + P5_DATUM["signature"]["points"][3:],
+            }
+        ),
+        p3_datum_with_points(P3_DATUM["signature"]["points"][::-1]),
     ],
 )
 def test_verify_malformed_document_is_a_usage_error(runner, tmp_path, text):

@@ -3,7 +3,7 @@
 import pytest
 
 from defdatum import cartier, deform, search, sigdata
-from defdatum.algebra import FieldDescriptor
+from defdatum.algebra import FieldDescriptor, Poly, RationalFunction
 from defdatum.deform import (
     is_j_special,
     kodaira_spencer,
@@ -66,9 +66,28 @@ def test_lifted_eps_part_is_in_the_cartier_kernel():
     lifted = lift_datum(datum, delta)
     cover = datum.cover
     for i in range(cover.s):
-        total = deform._polar_part(datum, delta, i) + lifted.h[i]
+        total = deform._polar_part(datum, delta)[i] + lifted.h[i]
         image = cartier.cartier_rational(total * cover.step_factor(i))
         assert image.is_zero()
+
+
+@pytest.mark.parametrize("make", [p5_datum, p3_two_level_datum])
+def test_polar_part_matches_its_closed_form(make):
+    # A_i = -(eps_i/(m Q)) sum_j b_j^(i) delta_j/(x - tau_j) over the new points
+    datum = make()
+    d = datum.descriptor
+    x = Poly.x(d)
+    delta = (d.one() + d.one(),)
+    sig = datum.signature
+    for i, a_i in enumerate(deform._polar_part(datum, delta)):
+        total = RationalFunction(Poly(d, []), Poly.constant(d, 1))
+        for k, j in enumerate(sig.new_indices()):
+            b = d.element(sig.orbit(j)[i])
+            total = total + RationalFunction(
+                Poly.constant(d, b * delta[k]), x - Poly.constant(d, datum.tau[k])
+            )
+        scale = -(datum.epsilon[i] * d.element(sig.m).inverse())
+        assert a_i == total * RationalFunction(Poly.constant(d, scale), datum.q_poly)
 
 
 def test_lift_rejects_wrong_delta_length():
@@ -108,8 +127,8 @@ def weakened_is_j_special(deformed, k):
     """Negative control: only asks that the first base coefficient sits at
     M, ignoring the nilpotent (epsilon) coefficients below it."""
     return all(
-        ser.base.order() == target
-        for ser, target in deform._specialty_expansions(deformed, k)
+        base.order() == target
+        for base, eps, target in deform._specialty_expansions(deformed, k)
     )
 
 

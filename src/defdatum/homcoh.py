@@ -278,8 +278,8 @@ def _cochain_basis(M, n):
 def _cochain_differential(M, n, v):
     """Sparse differential C^n -> C^{n+1} of a sparse vector v (dict).
 
-    The bar word (phi_1..phi_n, b) is the resolution's word (1, phi_1..
-    phi_n, b) with the trivial character in front: its
+    The bar word (phi_1..phi_n, b) is the resolution's word (0, phi_1..
+    phi_n, b) with the trivial character 0 in front: its
     ``_resolution_differential`` keeps that letter first in every term,
     and dropping it again gives the bar differential.
     """

@@ -50,6 +50,7 @@ from .algebra import (
     RationalFunction,
     nth_root_with_extension,
 )
+from .homcoh import rank_mod_p
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +287,7 @@ def phi_basis(datum):
     )
     for gamma in itertools.chain(roots, fallback):
         conjugates = [gamma ** (p**l) for l in range(s)]
-        if _fp_rank(conjugates) != s:
+        if rank_mod_p([list(e.coeffs) for e in conjugates], p) != s:
             continue
         omegas = omega_combination(datum.embedded(gamma.descriptor))
         out = []
@@ -307,19 +308,6 @@ def _primitive_root_of_unity(descriptor, m):
         if not cand.is_zero() and cand.multiplicative_order() == m:
             return cand
     raise ArithmeticError("unreachable: the unit group is cyclic")
-
-
-def _fp_rank(elements):
-    """Rank over F_p of field elements viewed as coefficient vectors."""
-    import numpy as np
-
-    from .homcoh import rank_mod_p
-
-    if not elements:
-        return 0
-    p = elements[0].descriptor.p
-    A = np.array([list(e.coeffs) for e in elements], dtype=np.int64)
-    return rank_mod_p(A, p)
 
 
 # ---------------------------------------------------------------------------

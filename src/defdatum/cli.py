@@ -9,6 +9,7 @@ configuration yields byte-identical output.  Exit status: 0 on success,
 from __future__ import annotations
 
 import json
+import random
 import sys
 
 import click
@@ -192,15 +193,13 @@ def verify(datum_file, config_path, out_path):
 @_with_shared
 def cohomology(p, seed, budget, config_path, out_path):
     """Cech table, group-cohomology vanishing and Picard invariants."""
-    import random as _random
-
     cfg = _merge(_load_config(config_path), p=p, seed=seed, budget=budget)
     cfg.setdefault("p", 3)
     cfg.setdefault("seed", 0)
     cfg.setdefault("budget", 3**6)
     _check_prime_field(cfg["p"], 1)
     prime = cfg["p"]
-    rng = _random.Random(cfg["seed"])
+    rng = random.Random(cfg["seed"])
     checks = {}
 
     cech = {}
@@ -218,22 +217,18 @@ def cohomology(p, seed, budget, config_path, out_path):
         checks[key] = dims == [M.invariant_dim_at_zero(), 0, 0]
         checks[key + "_homotopy"] = homcoh.verify_resolution_homotopy(M, 2)
 
-    import numpy as np
-
     pic = []
     for trial in range(6):
         # one random differential at a time keeps d.d = 0 automatic
         sizes = [rng.randint(0, 2), rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 2)]
         live = trial % 3
-        mats = []
-        for i in range(3):
-            rows, cols = sizes[i + 1], sizes[i]
-            M = np.zeros((rows, cols), dtype=np.int64)
-            if i == live:
-                for a in range(rows):
-                    for b in range(cols):
-                        M[a, b] = rng.randrange(prime)
-            mats.append(M)
+        mats = [
+            [
+                [rng.randrange(prime) if i == live else 0 for _ in range(sizes[i])]
+                for _ in range(sizes[i + 1])
+            ]
+            for i in range(3)
+        ]
         cx = homcoh.CochainComplex(prime, tuple(sizes), tuple(mats), start_degree=-1)
         try:
             inv = homcoh.pic_invariants(cx, budget=cfg["budget"])

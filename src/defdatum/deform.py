@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-import numpy as np
-
 from . import cartier, sigdata
 from .algebra import INF, FieldDescriptor, LaurentSeries, Poly, RationalFunction, series_at
 from .homcoh import rank_mod_p, solve_mod_p
@@ -65,10 +63,10 @@ def _correction_space(datum):
     return [RationalFunction(x**k, den) for k in range(nu + 1)]
 
 
-def _rational_to_vector(fs, p):
-    """F_p coordinate matrix of rational functions over a common denominator.
+def _rational_to_vector(fs):
+    """F_p coordinate rows of rational functions over a common denominator.
 
-    Returns (matrix rows indexed by function, columns by coefficient),
+    Returns one row of ints per function, indexed by coefficient,
     suitable for exact linear algebra; the functions must share a field.
     """
     d = fs[0].descriptor
@@ -85,7 +83,7 @@ def _rational_to_vector(fs, p):
             c = n.coeffs[k] if k <= n.degree else d.zero()
             row.extend(c.coeffs)
         rows.append(row)
-    return np.array(rows, dtype=np.int64) % p
+    return rows
 
 
 def lift_datum(datum, delta):
@@ -121,20 +119,19 @@ def lift_datum(datum, delta):
         for w in basis:
             for g in gens:
                 images.append(cartier.cartier_rational(w * g * step))
-        mat = _rational_to_vector(images + [rhs], p)
-        A = mat[:-1].T
-        b = mat[-1]
+        *columns, b = _rational_to_vector(images + [rhs])
+        A = list(zip(*columns, strict=True))
         x = solve_mod_p(A, b, p)
         if x is None:
             raise ArithmeticError(f"level {i}: no logarithmic correction exists")
-        if rank_mod_p(A, p) != A.shape[1]:
+        if rank_mod_p(A, p) != len(columns):
             raise ArithmeticError(f"level {i}: correction space is singular")
         h_i = RationalFunction(Poly(d, []), Poly.constant(d, 1))
         for idx, coeff in enumerate(x):
             if coeff:
                 w = basis[idx // d.r]
                 g = gens[idx % d.r]
-                h_i = h_i + w * (g * int(coeff))
+                h_i = h_i + w * (g * coeff)
         corrections.append(h_i)
     return DeformedDatum(datum, delta, tuple(corrections))
 
@@ -205,7 +202,6 @@ def _specialty_expansions(deformed, k):
     slot, j = _new_slots(datum)[k]
     m_j = sig.m_j(j)
     target = m_j + sig.a_min(j) - 1
-    upto = target + m_j
     s = datum.cover.s
     d = datum.descriptor
     sub = FieldDescriptor.get(d.p, s)
@@ -220,13 +216,13 @@ def _specialty_expansions(deformed, k):
         c = c0.embed(big)
         cs = [c ** (d.p**i) for i in range(s)]
         base = cartier.expand_combination(
-            unit.cover, tuple(h * ci for h, ci in zip(unit.hs, cs)), slot, upto
+            unit.cover, tuple(h * ci for h, ci in zip(unit.hs, cs)), slot, target
         )
         if eps_unit.is_zero():
-            eps = LaurentSeries(big, upto + 1, [])
+            eps = LaurentSeries(big, target + 1, [])
         else:
             eps = cartier.expand_combination(
-                unit.cover, tuple(g * ci for g, ci in zip(eps_unit.hs, cs)), slot, upto
+                unit.cover, tuple(g * ci for g, ci in zip(eps_unit.hs, cs)), slot, target
             )
         yield base, eps, target
 

@@ -6,11 +6,12 @@ group schemes (with a tame cyclic group acting), and Picard-category
 invariants obtained by explicit enumeration.
 
 Everything here is over F_p with matrices of small exact integers,
-ranked by Gaussian elimination mod p on numpy arrays.  Group cohomology
-never builds a differential over a whole degree: the cochain complex
-splits into blocks keyed by (collapsed word, basis vector), every block
-with l letter changes is one small standard complex K_l, and the
-H-invariants are counted per orbit of blocks (``group_cochain_blocks``).
+ranked by Gaussian elimination mod p on row lists of ints.  Group
+cohomology never builds a differential over a whole degree: the cochain
+complex splits into blocks keyed by (collapsed word, basis vector),
+every block with l letter changes is one small standard complex K_l,
+and the H-invariants are counted per orbit of blocks
+(``group_cochain_blocks``).
 """
 
 from __future__ import annotations
@@ -20,66 +21,81 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-import numpy as np
-
 
 # ---------------------------------------------------------------------------
 # linear algebra mod p
 
 
-def _as_modp(A, p):
-    A = np.asarray(A, dtype=np.int64)
-    if A.ndim != 2:
-        raise ValueError("matrix expected")
-    return A % p
+def _width(A):
+    """The common length of the rows of A (0 when A has no rows)."""
+    width = len(A[0]) if A else 0
+    if any(len(row) != width for row in A):
+        raise ValueError("rows of unequal length")
+    return width
 
 
-def _row_reduce(M, cols, p):
-    """Gauss-Jordan elimination of M in place, pivoting on its first
-    ``cols`` columns; returns the pivot columns, one per pivot row."""
-    rows = M.shape[0]
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if M[i, c]:
-                piv = i
+def _support(row, p):
+    """{column: entry mod p} over the entries of a row nonzero mod p."""
+    return {j: a for j in itertools.compress(range(len(row)), row) if (a := row[j] % p)}
+
+
+def _row_reduce(M, p):
+    """Echelon form of the row list M: {pivot column: pivot row}.
+
+    Each row, as the dict of its nonzero entries, is reduced against the
+    pivot rows found so far and becomes the pivot row of its least
+    column, scaled to 1 there; so the work follows the nonzero entries.
+    """
+    pivots = {}
+    for row in M:
+        v = _support(row, p)
+        while v:
+            c = min(v)
+            if c not in pivots:
+                inv = pow(v[c], p - 2, p)
+                pivots[c] = {j: x * inv % p for j, x in v.items()}
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            M[nz] = (M[nz] - np.outer(col[nz], M[r])) % p
-        pivots.append(c)
+            f = v[c]
+            for j, x in pivots[c].items():
+                if y := (v.get(j, 0) - f * x) % p:
+                    v[j] = y
+                else:
+                    del v[j]
     return pivots
 
 
 def rank_mod_p(A, p):
-    A = _as_modp(A, p)
-    return len(_row_reduce(A, A.shape[1], p))
+    _width(A)  # refuses ragged rows
+    return len(_row_reduce(A, p))
 
 
 def solve_mod_p(A, b, p):
-    """One solution of A x = b mod p, or None."""
-    A = _as_modp(A, p)
-    b = np.asarray(b, dtype=np.int64) % p
-    rows, cols = A.shape
-    M = np.concatenate([A, b.reshape(rows, 1)], axis=1)
-    pivots = _row_reduce(M, cols, p)
-    if M[len(pivots):, cols].any():
+    """One solution of A x = b mod p (free variables 0), or None.
+
+    ``b`` has one entry per row of A; with no rows A has no columns.
+    """
+    cols = _width(A)
+    pivots = _row_reduce([[*row, v] for row, v in zip(A, b, strict=True)], p)
+    if cols in pivots:
         return None
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = M[: len(pivots), cols]
+    x = [0] * cols
+    for c in sorted(pivots, reverse=True):
+        rest = sum(a * x[j] for j, a in pivots[c].items() if c < j < cols)
+        x[c] = (pivots[c].get(cols, 0) - rest) % p
     return x
+
+
+def _product_is_zero(B, A, p):
+    """Whether B A = 0 mod p, summing only over nonzero entries."""
+    support = [_support(row, p) for row in A]
+    for brow in B:
+        acc = {}
+        for k, b in _support(brow, p).items():
+            for j, a in support[k].items():
+                acc[j] = acc.get(j, 0) + b * a
+        if any(v % p for v in acc.values()):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +106,8 @@ def solve_mod_p(A, b, p):
 class CochainComplex:
     """Matrices d_i: F_p^{dims[i]} -> F_p^{dims[i+1]} with d.d = 0.
 
-    ``start_degree`` labels dims[0]; matrices[i] has shape
-    (dims[i+1], dims[i]).
+    ``start_degree`` labels dims[0]; matrices[i] is a list of dims[i+1]
+    rows of dims[i] ints.
     """
 
     p: int
@@ -104,14 +120,13 @@ class CochainComplex:
             raise ValueError("need one differential per adjacent pair")
         mats = []
         for i, M in enumerate(self.matrices):
-            M = _as_modp(M, self.p)
-            if M.shape != (self.dims[i + 1], self.dims[i]):
-                raise ValueError(f"differential {i} has shape {M.shape}")
-            mats.append(M)
+            rows, cols = self.dims[i + 1], self.dims[i]
+            if len(M) != rows or any(len(row) != cols for row in M):
+                raise ValueError(f"differential {i} is not {rows} x {cols}")
+            mats.append([[a % self.p for a in row] for row in M])
         for i in range(len(mats) - 1):
-            if mats[i + 1].size and mats[i].size:
-                if np.any((mats[i + 1] @ mats[i]) % self.p):
-                    raise ValueError(f"d{i + 1} . d{i} != 0")
+            if not _product_is_zero(mats[i + 1], mats[i], self.p):
+                raise ValueError(f"d{i + 1} . d{i} != 0")
         object.__setattr__(self, "matrices", tuple(mats))
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
 
@@ -157,11 +172,11 @@ def cech_line_bundle(p, d, window=None):
     overlap = {e: i for i, e in enumerate(range(lo, hi + 1))}
     n0 = len(chart0) + len(chart_inf)
     n1 = len(overlap)
-    D = np.zeros((n1, n0), dtype=np.int64)
+    D = [[0] * n0 for _ in range(n1)]
     for j, e in enumerate(chart0):
-        D[overlap[e], j] = 1
+        D[overlap[e]][j] = 1
     for j, e in enumerate(chart_inf):
-        D[overlap[e], len(chart0) + j] = (-1) % p
+        D[overlap[e]][len(chart0) + j] = (-1) % p
     C = CochainComplex(p, (n0, n1), (D,))
     h0, h1 = cohomology_dims(C)
     return h0, h1
@@ -345,13 +360,13 @@ def group_cochain_complex(M, nmax):
         _, inv_n = degree_data[n]
         _, inv_n1 = degree_data[n + 1]
         rep_index = {k0: j for j, (_, k0) in enumerate(inv_n1)}
-        D = np.zeros((len(inv_n1), len(inv_n)), dtype=np.int64)
+        D = [[0] * len(inv_n) for _ in inv_n1]
         for col, (vec, _) in enumerate(inv_n):
             dv = _cochain_differential(M, n, vec)
             for k, c in dv.items():
                 j = rep_index.get(k)
                 if j is not None:
-                    D[j, col] = c
+                    D[j][col] = c
         mats.append(D)
     return CochainComplex(M.p, dims, tuple(mats))
 
@@ -424,12 +439,12 @@ def _block_complex(M, word, b, nmax, differential=None):
     mats = []
     for n in range(nmax + 1):
         index = {k: i for i, k in enumerate(bases[n + 1])}
-        D = np.zeros((len(bases[n + 1]), len(bases[n])), dtype=np.int64)
+        D = [[0] * len(bases[n]) for _ in bases[n + 1]]
         for col, key in enumerate(bases[n]):
             for k, c in dmap(M, n, {key: 1}).items():
                 if k not in index:
                     raise ValueError(f"d{n} maps {key} out of the block of {word}")
-                D[index[k], col] = c
+                D[index[k]][col] = c
         mats.append(D)
     return CochainComplex(M.p, tuple(len(keys) for keys in bases), tuple(mats))
 
@@ -542,9 +557,7 @@ def _enumerate_vectors(p, n):
 
 
 def _apply(Mat, v, p):
-    if Mat.shape[1] == 0:
-        return tuple([0] * Mat.shape[0])
-    return tuple(int(x) for x in (Mat @ np.array(v, dtype=np.int64)) % p)
+    return tuple(sum(a * x for a, x in zip(row, v, strict=True)) % p for row in Mat)
 
 
 def _quotient_group(cocycles, boundaries, p):
@@ -574,7 +587,7 @@ def pic_invariants(A, budget=3**6):
         raise EnumerationBudgetExceeded("graded pieces too large to enumerate")
     d_m1, d0, d1 = A.matrices[i1 - 2], A.matrices[i1 - 1], A.matrices[i1]
 
-    zero_top = tuple([0] * d1.shape[0])
+    zero_top = tuple([0] * len(d1))
     cocycles = [v for v in _enumerate_vectors(p, n1) if _apply(d1, v, p) == zero_top]
     boundaries1 = {_apply(d0, f, p) for f in _enumerate_vectors(p, n0)}
     reps = _quotient_group(cocycles, boundaries1, p)
@@ -591,7 +604,7 @@ def pic_invariants(A, budget=3**6):
                 raise ArithmeticError("class order exceeds p in an F_p-linear category")
     k1 = _integer_log(len(classes), p)
     # automorphisms of the neutral object: ker d0 modulo im d_{-1}
-    zero0 = tuple([0] * d0.shape[0])
+    zero0 = tuple([0] * len(d0))
     autocycles = [f for f in _enumerate_vectors(p, n0) if _apply(d0, f, p) == zero0]
     boundaries0 = {_apply(d_m1, e, p) for e in _enumerate_vectors(p, n_m1)}
     reps0 = _quotient_group(autocycles, boundaries0, p)

@@ -267,15 +267,13 @@ def test_criterion_05_picard_invariants(capsys):
         )
         live = trial % 3
         mats = []
-        import numpy as np
-
         for i in range(3):
             rows, cols = sizes[i + 1], sizes[i]
-            M = np.zeros((rows, cols), dtype=np.int64)
+            M = [[0] * cols for _ in range(rows)]
             if i == live:
                 for a in range(rows):
                     for b in range(cols):
-                        M[a, b] = rng.randrange(p)
+                        M[a][b] = rng.randrange(p)
             mats.append(M)
         cx = homcoh.CochainComplex(p, sizes, tuple(mats), start_degree=-1)
         inv = homcoh.pic_invariants(cx)

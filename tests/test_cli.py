@@ -1,6 +1,9 @@
 """Command line interface: exit codes, determinism, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defdatum
 from defdatum.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -391,3 +395,47 @@ def test_rigidity_subcommand(runner):
     assert doc["passed"] is True
     assert len(doc["results"]) == 1
     assert doc["results"][0]["rigid"] is True
+
+
+_WITHOUT_NUMPY = """
+import importlib, json, pkgutil, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import defdatum
+for info in pkgutil.iter_modules(defdatum.__path__):
+    importlib.import_module("defdatum." + info.name)
+from click.testing import CliRunner
+from defdatum.cli import main
+
+out = sys.argv[1]
+codes = {}
+def run(name, *args):
+    res = CliRunner().invoke(main, [*args, "--out", f"{out}/{name}.json"])
+    codes[name] = [res.exit_code, repr(res.exception)]
+run("enumerate", "enumerate", "--p", "3", "--m", "2", "--points", "4")
+run("search", "search", "--p", "3", "--m", "2", "--points", "3", "--r", "1")
+datum = json.load(open(f"{out}/search.json"))["results"][0]["data"][0]
+json.dump(datum, open(f"{out}/datum.json", "w"))
+run("verify", "verify", f"{out}/datum.json")
+run("cohomology", "cohomology", "--p", "3")
+run("rigidity", "rigidity", "--p", "5", "--m", "2", "--points", "4", "--r", "1")
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "numpy" and mod)
+print(json.dumps({"codes": codes, "numpy": loaded}))
+"""
+
+
+def test_the_package_runs_without_numpy(tmp_path):
+    # every module imports and every README command exits 0 in a process
+    # where importing numpy fails
+    src = str(Path(defdatum.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["numpy"] == []
+    assert report["codes"] == {
+        name: [0, "None"] for name in ("enumerate", "search", "verify", "cohomology", "rigidity")
+    }

@@ -4,7 +4,6 @@ import itertools
 import time
 from math import comb, gcd
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,16 +26,14 @@ from defdatum.homcoh import (
 )
 
 
-def brute_rank(A, p):
+def apply(A, v, p):
+    """A v mod p for a row list A."""
+    return [sum(a * x for a, x in zip(row, v, strict=True)) % p for row in A]
+
+
+def brute_rank(A, p, cols):
     """Rank by enumerating all column combinations (oracle for tiny sizes)."""
-    A = np.asarray(A) % p
-    rows, cols = A.shape
-    images = set()
-    for v in itertools.product(range(p), repeat=cols):
-        if cols:
-            images.add(tuple((A @ np.array(v)) % p))
-        else:
-            images.add(tuple([0] * rows))
+    images = {tuple(apply(A, v, p)) for v in itertools.product(range(p), repeat=cols)}
     n = len(images)
     k = 0
     while p**k < n:
@@ -52,40 +49,70 @@ def brute_rank(A, p):
 )
 def test_rank_matches_enumeration(rows, cols, rnd):
     p = 3
-    A = np.array(
-        [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)],
-        dtype=np.int64,
-    ).reshape(rows, cols)
-    assert rank_mod_p(A, p) == brute_rank(A, p)
+    A = [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    assert rank_mod_p(A, p) == brute_rank(A, p, cols)
 
 
 @settings(max_examples=40)
 @given(st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False))
 def test_solve_mod_p_solves_or_proves_none(rows, cols, rnd):
     p = 5
-    A = np.array(
-        [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)],
-        dtype=np.int64,
-    )
-    b = np.array([rnd.randrange(p) for _ in range(rows)], dtype=np.int64)
+    A = [[rnd.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    b = [rnd.randrange(p) for _ in range(rows)]
     x = solve_mod_p(A, b, p)
     if x is not None:
-        assert np.array_equal((A @ x) % p, b % p)
+        assert apply(A, x, p) == b
     else:
         # no x exists at all
         for v in itertools.product(range(p), repeat=cols):
-            assert not np.array_equal((A @ np.array(v)) % p, b % p)
+            assert apply(A, v, p) != b
+
+
+def test_rank_and_solve_on_empty_matrices():
+    # 0 rows: rank 0, and the empty system is solved by the empty vector
+    assert rank_mod_p([], 3) == 0
+    assert solve_mod_p([], [], 3) == []
+    # 0 columns: rank 0; only b = 0 is reachable, by the empty vector
+    assert rank_mod_p([[], [], []], 3) == 0
+    assert solve_mod_p([[], [], []], [0, 3, -6], 3) == []
+    assert solve_mod_p([[], [], []], [0, 1, 0], 3) is None
+
+
+def test_rank_and_solve_refuse_mismatched_lengths():
+    A = [[1, 0], [0, 1]]
+    assert solve_mod_p(A, [2, 3], 5) == [2, 3]
+    for b in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            solve_mod_p(A, b, 5)
+    with pytest.raises(ValueError):
+        solve_mod_p([], [1], 5)
+    with pytest.raises(ValueError, match="unequal length"):
+        rank_mod_p([[1, 2], [1]], 3)
+    with pytest.raises(ValueError, match="unequal length"):
+        solve_mod_p([[1, 2], [1]], [0, 0], 3)
+
+
+def test_complex_rejects_wrong_shapes():
+    CochainComplex(3, (2, 1), ([[1, 2]],))
+    with pytest.raises(ValueError, match="not 1 x 2"):
+        CochainComplex(3, (2, 1), ([[1, 2], [0, 0]],))  # one row too many
+    with pytest.raises(ValueError, match="not 1 x 2"):
+        CochainComplex(3, (2, 1), ([],))  # no rows
+    with pytest.raises(ValueError, match="not 1 x 2"):
+        CochainComplex(3, (2, 1), ([[1, 2, 0]],))  # a row too long
+    with pytest.raises(ValueError, match="not 2 x 1"):
+        CochainComplex(3, (1, 2), ([[1], [1, 0]],))  # a row too long among good ones
 
 
 def test_complex_rejects_nonzero_square():
-    d0 = np.array([[1]], dtype=np.int64)
-    d1 = np.array([[1]], dtype=np.int64)
+    d0 = [[1]]
+    d1 = [[1]]
     with pytest.raises(ValueError):
         CochainComplex(3, (1, 1, 1), (d0, d1))
 
 
 def test_cohomology_dims_two_term():
-    D = np.array([[1, 2], [2, 4]], dtype=np.int64)  # rank 1 mod 5
+    D = [[1, 2], [2, 4]]  # rank 1 mod 5
     C = CochainComplex(5, (2, 2), (D,))
     assert cohomology_dims(C) == [1, 1]
 
@@ -117,7 +144,7 @@ def test_cochain_block_limit_is_checked_before_any_basis(monkeypatch):
     shapes = []
 
     def recording_rank(A, p):
-        shapes.append(np.shape(A))
+        shapes.append((len(A), len(A[0]) if A else 0))
         return rank_mod_p(A, p)
 
     monkeypatch.setattr(homcoh, "_cochain_basis", no_basis)
@@ -289,11 +316,11 @@ def random_one_live_complex(rnd, p):
     mats = []
     for i in range(3):
         rows, cols = sizes[i + 1], sizes[i]
-        M = np.zeros((rows, cols), dtype=np.int64)
+        M = [[0] * cols for _ in range(rows)]
         if i == live:
             for a in range(rows):
                 for b in range(cols):
-                    M[a, b] = rnd.randrange(p)
+                    M[a][b] = rnd.randrange(p)
         mats.append(M)
     return four_term(p, sizes, tuple(mats))
 
@@ -311,10 +338,6 @@ def test_pic_invariants_match_cohomology(p, rnd):
 
 def test_pic_budget_guard():
     sizes = (0, 8, 1, 0)
-    mats = (
-        np.zeros((8, 0), dtype=np.int64),
-        np.zeros((1, 8), dtype=np.int64),
-        np.zeros((0, 1), dtype=np.int64),
-    )
+    mats = ([[]] * 8, [[0] * 8], [])
     with pytest.raises(EnumerationBudgetExceeded):
         pic_invariants(four_term(3, sizes, mats))

@@ -78,13 +78,31 @@ def _check_prime_field(p, r):
         raise click.UsageError(str(exc))
 
 
+def _field_and_signatures(cfg, required):
+    """F_{p^r} and the admissible signatures of (p, m, points).
+
+    Every key of ``required`` must be set; r is 1 unless it is required.
+    A missing setting, a bad field or bad enumeration arguments exit 2.
+    """
+    for key in required:
+        if cfg.get(key) is None:
+            raise click.UsageError(f"missing required setting --{key}")
+    field = _check_prime_field(cfg["p"], cfg["r"] if "r" in required else 1)
+    try:
+        return field, sigdata.enumerate_signatures(cfg["p"], cfg["m"], cfg["points"])
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 @click.group()
 def main():
     """Exact search and verification of special deformation data."""
 
 
 _shared = [
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None),
+    click.option(
+        "--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None
+    ),
     click.option("--out", "out_path", type=click.Path(), default=None),
 ]
 
@@ -103,14 +121,7 @@ def _with_shared(fn):
 def enumerate(p, m, points, config_path, out_path):
     """List all admissible special signatures for (p, m, |B|)."""
     cfg = _merge(_load_config(config_path), p=p, m=m, points=points)
-    for key in ("p", "m", "points"):
-        if cfg.get(key) is None:
-            raise click.UsageError(f"missing required setting --{key}")
-    _check_prime_field(cfg["p"], 1)
-    try:
-        sigs = sigdata.enumerate_signatures(cfg["p"], cfg["m"], cfg["points"])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    _, sigs = _field_and_signatures(cfg, ("p", "m", "points"))
     doc = _document(
         "enumerate", cfg, {"signatures": [sig.to_json() for sig in sigs]}
     )
@@ -127,14 +138,7 @@ def search_cmd(p, m, points, r, config_path, out_path):
     """Search F_{p^r} for data of every admissible signature and verify them."""
     cfg = _merge(_load_config(config_path), p=p, m=m, points=points, r=r)
     cfg.setdefault("points", 3)
-    for key in ("p", "m", "r"):
-        if cfg.get(key) is None:
-            raise click.UsageError(f"missing required setting --{key}")
-    field = _check_prime_field(cfg["p"], cfg["r"])
-    try:
-        sigs = sigdata.enumerate_signatures(cfg["p"], cfg["m"], cfg["points"])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    field, sigs = _field_and_signatures(cfg, ("p", "m", "r"))
     results = []
     all_pass = True
     for sig in sigs:
@@ -160,7 +164,7 @@ def search_cmd(p, m, points, r, config_path, out_path):
 
 
 @main.command()
-@click.argument("datum_file", type=click.Path(exists=True))
+@click.argument("datum_file", type=click.Path(exists=True, dir_okay=False))
 @_with_shared
 def verify(datum_file, config_path, out_path):
     """Re-verify a datum document produced by search."""
@@ -267,14 +271,7 @@ def cohomology(p, seed, budget, config_path, out_path):
 def rigidity(p, m, points, r, config_path, out_path):
     """Search, then run the first-order rigidity experiment on each datum."""
     cfg = _merge(_load_config(config_path), p=p, m=m, points=points, r=r)
-    for key in ("p", "m", "points", "r"):
-        if cfg.get(key) is None:
-            raise click.UsageError(f"missing required setting --{key}")
-    field = _check_prime_field(cfg["p"], cfg["r"])
-    try:
-        sigs = sigdata.enumerate_signatures(cfg["p"], cfg["m"], cfg["points"])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    field, sigs = _field_and_signatures(cfg, ("p", "m", "points", "r"))
     results = []
     all_rigid = True
     for sig in sigs:

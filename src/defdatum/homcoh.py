@@ -12,6 +12,14 @@ complex splits into blocks keyed by (collapsed word, basis vector),
 every block with l letter changes is one small standard complex K_l,
 and the H-invariants are counted per orbit of blocks
 (``group_cochain_blocks``).
+
+The contracting homotopy s.d + d.s = id of the canonical resolution (an
+augmented simplicial object with an extra degeneracy s; Weibel, An
+Introduction to Homological Algebra, ch. 8) is checked on one key per
+equality pattern of its characters, not on a whole basis
+(``verify_resolution_homotopy``): d and s only copy, duplicate and drop
+letters, so the verdict on a key does not change under a relabelling of
+its characters that fixes the character of its basis vector.
 """
 
 from __future__ import annotations
@@ -153,18 +161,18 @@ def cohomology_dims(C):
 
 
 @functools.cache
-def cech_line_bundle(p, d, window=None):
+def cech_line_bundle(p, d):
     """(h0, h1) of O(d) on P^1 from the explicit two-chart Cech complex.
 
     Sections over the finite chart are monomials x^0..x^N, sections over
     the chart at infinity are x^{d-N}..x^d, sections on the overlap are
     the Laurent monomials spanning both ranges; the differential is
-    (f, g) -> f - g.  N defaults to |d| + 2, which is past the point
-    where the answer stabilizes.  Memoized per (p, d, window): the
-    result is an immutable pair, and the uncached complex stays
-    reachable as ``cech_line_bundle.__wrapped__``.
+    (f, g) -> f - g.  N = |d| + 2 is past the point where the answer
+    stabilizes.  Memoized per (p, d): the result is an immutable pair,
+    and the uncached complex stays reachable as
+    ``cech_line_bundle.__wrapped__``.
     """
-    N = window if window is not None else abs(d) + 2
+    N = abs(d) + 2
     chart0 = list(range(0, N + 1))
     chart_inf = list(range(d - N, d + 1))
     lo = min(0, d - N)
@@ -279,17 +287,6 @@ def coinduced_module(p, s):
     return GradedHModule.trivial_H(p, s, dims)
 
 
-def _cochain_basis(M, n):
-    """Basis of C^n(G, M) = O_G^{tensor n} (tensor) M in the character basis.
-
-    A generator: C^n has (p^s)^n dim M keys, 390625 at p = 5, s = 2, n = 3.
-    """
-    basis = M.basis()
-    for phis in itertools.product(M.characters(), repeat=n):
-        for b in basis:
-            yield (*phis, b)
-
-
 def _cochain_differential(M, n, v):
     """Sparse differential C^n -> C^{n+1} of a sparse vector v (dict).
 
@@ -301,74 +298,6 @@ def _cochain_differential(M, n, v):
     trivial = tuple([0] * M.s)
     lifted = {(trivial, *key): c for key, c in v.items()}
     return {key[1:]: c for key, c in _resolution_differential(M, n, lifted).items()}
-
-
-def _invariant_basis(M, basis):
-    """Orbit-sum basis of the H-invariants of a monomial H-action.
-
-    Returns a list of sparse vectors (dict basis-key -> coeff), each
-    normalized to coefficient 1 at its smallest key.
-    """
-    index = {b: i for i, b in enumerate(basis)}
-    seen = set()
-    out = []
-    p = M.p
-    for b in basis:
-        if b in seen:
-            continue
-        orbit = []
-        scalars = []
-        cur, c = b, 1
-        while True:
-            orbit.append((cur, c))
-            seen.add(cur)
-            *phis, mb = cur
-            sc, mb2 = M.act_generator(mb)
-            cur = (*[M.apply_T(phi) for phi in phis], mb2)
-            c = (c * sc) % p
-            if cur == b:
-                break
-        if c == 1:  # the cycle scalar; otherwise no invariant on this orbit
-            vec = {k: co for k, co in orbit}
-            # normalize at the smallest key for stable coordinates
-            k0 = min(vec, key=lambda k: index[k])
-            inv = pow(vec[k0], p - 2, p)
-            out.append(({k: (co * inv) % p for k, co in vec.items()}, k0))
-    return out
-
-
-def group_cochain_complex(M, nmax):
-    """The H-invariant cochain complex of G = G_0 x| H in degrees 0..nmax+1.
-
-    C^n(G_0, M) = O_G^{tensor n} (tensor) M in the character basis; the
-    H-invariants functor is applied degreewise (exact because |H| is
-    prime to p), which computes the cohomology of the semidirect
-    product.  Every degree's (p^s)^n dim M cochains are listed and each
-    differential is one dense matrix over the invariants of a whole
-    degree: this is the test oracle for ``group_cochain_blocks``.
-    """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    degree_data = []
-    for n in range(nmax + 2):
-        basis = list(_cochain_basis(M, n))
-        inv = _invariant_basis(M, basis)
-        degree_data.append((basis, inv))
-    dims = tuple(len(inv) for _, inv in degree_data)
-    mats = []
-    for n in range(nmax + 1):
-        _, inv_n = degree_data[n]
-        _, inv_n1 = degree_data[n + 1]
-        rep_index = {k0: j for j, (_, k0) in enumerate(inv_n1)}
-        D = [[0] * len(inv_n) for _ in inv_n1]
-        for col, (vec, _) in enumerate(inv_n):
-            dv = _cochain_differential(M, n, vec)
-            for k, c in dv.items():
-                j = rep_index.get(k)
-                if j is not None:
-                    D[j][col] = c
-        mats.append(D)
-    return CochainComplex(M.p, dims, tuple(mats))
 
 
 def _collapsed_words(chars, psi, ell):
@@ -415,17 +344,14 @@ def _invariant_blocks(M, nmax):
     return found
 
 
-def _block_complex(M, word, b, nmax, differential=None):
+def _block_complex(M, word, b, nmax):
     """The block of (word, b) in degrees 0..nmax+1, as a CochainComplex.
 
     Degree n holds the C(n+1, l) cochains whose word (0, phi_1, ...,
     phi_n, psi) collapses to ``word``: one per way to stretch its l + 1
     runs to length n + 2.  Raises ValueError when the differential
     leaves the block or, through CochainComplex, when d.d != 0.
-    ``differential`` may override the cochain differential (used as a
-    negative control in tests).
     """
-    dmap = differential if differential is not None else _cochain_differential
     ell = len(word) - 1
     bases = []
     for n in range(nmax + 2):
@@ -441,7 +367,7 @@ def _block_complex(M, word, b, nmax, differential=None):
         index = {k: i for i, k in enumerate(bases[n + 1])}
         D = [[0] * len(bases[n]) for _ in bases[n + 1]]
         for col, key in enumerate(bases[n]):
-            for k, c in dmap(M, n, {key: 1}).items():
+            for k, c in _cochain_differential(M, n, {key: 1}).items():
                 if k not in index:
                     raise ValueError(f"d{n} maps {key} out of the block of {word}")
                 D[index[k]][col] = c
@@ -450,18 +376,22 @@ def _block_complex(M, word, b, nmax, differential=None):
 
 
 def group_cochain_blocks(M, nmax):
-    """``group_cochain_complex`` as a direct sum: [(multiplicity, K_l)].
+    """The H-invariant cochain complex of G = G_0 x| H: [(multiplicity, K_l)].
 
-    Every term of d(phi_1 ... phi_n, b) duplicates one letter of the word
-    (0, phi_1, ..., phi_n, psi), so the collapsed word and b are
-    invariant under d and the complex splits into blocks.  A block's
+    C^n(G_0, M) = O_G^{tensor n} (tensor) M in the character basis, with
+    (p^s)^n dim M cochains; the H-invariants functor is applied
+    degreewise (exact because |H| is prime to p), which computes the
+    cohomology of the semidirect product.  Every term of d(phi_1 ...
+    phi_n, b) duplicates one letter of the word (0, phi_1, ..., phi_n,
+    psi), so the collapsed word and b are invariant under d and the
+    complex splits into blocks.  A block's
     differential depends only on the run lengths of its words, so all
     blocks with l letter changes are one complex K_l, built once here
     from a representative block; the H-invariant complex is the sum of
     one K_l per invariant orbit of blocks (``_invariant_blocks``).  The
-    sum agrees with ``group_cochain_complex`` in degrees 0..nmax; the
-    blocks with l = nmax + 2, which start in degree nmax + 1 and meet no
-    differential there, are left out.
+    sum is that complex in degrees 0..nmax; the blocks with l = nmax + 2,
+    which start in degree nmax + 1 and meet no differential there, are
+    left out.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -508,32 +438,68 @@ def _resolution_homotopy(M, v):
     return {k: c for k, c in out.items() if c}
 
 
-def verify_resolution_homotopy(M, nmax, differential=None):
+def _homotopy_holds(M, n, key):
+    """Whether s.d + d.s sends the basis key of B^n to itself."""
+    v = {key: 1}
+    if n == 0:
+        # d s(v) on B^0 goes through the augmentation M -> B^0
+        ds = {}
+        for (b,), c in _resolution_homotopy(M, v).items():
+            ds[(b[0], b)] = (ds.get((b[0], b), 0) + c) % M.p
+    else:
+        ds = _resolution_differential(M, n - 1, _resolution_homotopy(M, v))
+    total = dict(ds)
+    for k, c in _resolution_homotopy(M, _resolution_differential(M, n, v)).items():
+        total[k] = (total.get(k, 0) + c) % M.p
+    return {k: c for k, c in total.items() if c} == v
+
+
+def _equality_patterns(length, most):
+    """Restricted-growth strings: a[0] = 0, a[k] <= max(a[:k]) + 1.
+
+    Each is the equality pattern of a word of ``length`` letters, its
+    blocks numbered in order of first appearance; at most ``most`` blocks.
+    """
+    if length == 0:
+        yield ()
+        return
+    for head in _equality_patterns(length - 1, most):
+        for a in range(min(max(head, default=-1) + 2, most)):
+            yield (*head, a)
+
+
+def _pattern_keys(M, n):
+    """One key (phi_0, ..., phi_n, b) of B^n per equality pattern of
+    (phi_0, ..., phi_n, psi), for every basis vector b of character psi.
+
+    The block of psi is labelled psi, the other blocks take the other
+    characters in order.
+    """
+    chars = list(M.characters())
+    for b in M.basis():
+        psi = b[0]
+        others = [c for c in chars if c != psi]
+        for pattern in _equality_patterns(n + 2, len(chars)):
+            last = pattern[-1]
+            label = [psi if a == last else others[a - (a > last)] for a in pattern[:-1]]
+            yield (*label, b)
+
+
+def verify_resolution_homotopy(M, nmax):
     """Check s.d + d.s = id on the canonical resolution in degrees <= nmax.
 
-    ``differential`` may override the resolution differential (used as a
-    negative control in tests).
+    B^n has (p^s)^(n+1) dim M basis keys, 390625 at p = 5, s = 2, n = 2;
+    one key per equality pattern is enough.  The differential and the
+    homotopy only copy, duplicate and drop the letters phi_0..phi_n, and
+    read b only through psi = b[0], which they may insert as a letter;
+    so they commute with every injective relabelling of characters that
+    fixes psi, and the verdict on a key depends only on b and on the
+    equality pattern of (phi_0, ..., phi_n, psi).  Per b and n there are
+    at most Bell(n + 2) patterns (15 at n = 2).
     """
-    dmap = differential if differential is not None else _resolution_differential
-    for n in range(nmax + 1):
-        for key in _cochain_basis(M, n + 1):  # B^n has n+1 character slots
-            v = {key: 1}
-            if n == 0:
-                # d s(v) on B^0 goes through the augmentation M -> B^0
-                sm = _resolution_homotopy(M, v)  # element of M
-                ds = {}
-                for (b,), c in ((k, c) for k, c in sm.items()):
-                    ds[(b[0], b)] = (ds.get((b[0], b), 0) + c) % M.p
-            else:
-                ds = dmap(M, n - 1, _resolution_homotopy(M, v))
-            sd = _resolution_homotopy(M, dmap(M, n, v))
-            total = dict(ds)
-            for k, c in sd.items():
-                total[k] = (total.get(k, 0) + c) % M.p
-            total = {k: c % M.p for k, c in total.items() if c % M.p}
-            if total != v:
-                return False
-    return True
+    return all(
+        _homotopy_holds(M, n, key) for n in range(nmax + 1) for key in _pattern_keys(M, n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ still goes through `validate_signature`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -194,28 +193,6 @@ def validate_signature(sig):
     return ValidationReport(tuple(fails))
 
 
-def _validate_signature_by_fractions(sig):
-    """Test oracle for `validate_signature`: the identities in Fractions."""
-    if gcd(sig.p, sig.m) != 1:
-        return ValidationReport(("p not invertible mod m",))
-    fails = _structural_failures(sig)
-    s = sig.s
-    for i in range(s):
-        total = sum((sig.sigma(j, i) - 1) for j in range(sig.n_points))
-        if total != -2:
-            fails.append(f"level {i}: sum of (sigma - 1) is {total}, expected -2")
-    for j in range(sig.n_points):
-        s0 = sig.sigma(j, 0)
-        for i in range(s):
-            lhs = sig.sigma(j, i) - int(sig.sigma(j, i))
-            rhs = sig.p**i * s0 - int(sig.p**i * s0)
-            if lhs != rhs:
-                fails.append(f"point {j}, level {i}: fractional orbit identity broken")
-            if sig.sigma(j, i) == 1:
-                fails.append(f"point {j}, level {i}: sigma = 1 is forbidden")
-    return ValidationReport(tuple(fails))
-
-
 def is_pure(sig):
     """Sum of b^(i) over all points equals m at every level."""
     return all(
@@ -251,17 +228,6 @@ def is_special(sig):
         pt.nu >= 0 or not any(orbit) for pt, orbit in zip(sig.points, sig.orbits)
     )
     return SpecialReport(special and pure and nu_constant, b0, pure, nu_constant)
-
-
-def classify_point(sig, j):
-    if not 0 <= j < sig.n_points:
-        raise IndexError(f"point index {j} out of range")
-    orbit = sig.orbit(j)
-    return {
-        "wild": all(b == 0 for b in orbit),
-        "tame": sig.m_j(j) > 1,
-        "critical": True,
-    }
 
 
 def _canonical_key(orbit):
@@ -334,16 +300,6 @@ def enumerate_signatures(p, m, n_points):
         for t in range(m + 1)
         for new in _multisets(1, m, n_points - 3, t)
         for base in _multisets(0, m, 3, m - t)
-    )
-    return _admissible(p, m, candidates)
-
-
-def _enumerate_signatures_bruteforce(p, m, n_points):
-    """Test oracle for `enumerate_signatures`: scans all residue tuples."""
-    _check_enumeration_args(p, m, n_points)
-    candidates = itertools.product(
-        itertools.product(range(m), repeat=3),
-        itertools.product(range(1, m), repeat=n_points - 3),
     )
     return _admissible(p, m, candidates)
 

@@ -27,6 +27,17 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args))
 
 
+DIRECTORY = object()  # stands for a directory given where a file is read
+
+
+def write_input(path, text):
+    """Write text to path, or make path a directory for DIRECTORY."""
+    if text is DIRECTORY:
+        path.mkdir()
+    else:
+        path.write_text(text)
+
+
 def test_search_golden(runner):
     res = invoke(runner, "search", "--p", "3", "--m", "2", "--points", "3", "--r", "1")
     assert res.exit_code == 0
@@ -93,12 +104,13 @@ def test_config_file_and_flags_agree_flags_win(runner, tmp_path):
         json.dumps({"p": "3", "m": 2, "points": 3, "r": 1}),
         json.dumps({"p": 3, "m": 2, "points": 3, "r": True}),
         json.dumps({"p": 3, "m": 2.0, "points": 3, "r": 1}),
+        DIRECTORY,
     ],
 )
 def test_malformed_config_file_is_a_usage_error(runner, tmp_path, text):
     # each ended in a traceback with exit 1, the code of a failed verification
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
+    write_input(cfg, text)
     res = invoke(runner, "search", "--config", str(cfg))
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
@@ -243,16 +255,43 @@ def p3_points_with(j, **fields):
             }
         ),
         p3_datum_with_points(P3_DATUM["signature"]["points"][::-1]),
+        # a directory ended in IsADirectoryError, a traceback with exit 1
+        DIRECTORY,
     ],
 )
 def test_verify_malformed_document_is_a_usage_error(runner, tmp_path, text):
     path = tmp_path / "datum.json"
-    path.write_text(text)
+    write_input(path, text)
     res = invoke(runner, "verify", str(path))
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
-    assert "is not a datum document" in res.output
+    if text is DIRECTORY:
+        assert "is a directory" in res.output
+    else:
+        assert "is not a datum document" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "enumerate --p 3 --m 2 --points 4",
+        "cohomology --p 3",
+        "rigidity --p 5 --m 2 --points 4 --r 1",
+        "verify DATUM",
+    ],
+)
+def test_config_directory_is_a_usage_error(runner, tmp_path, args):
+    # as for search (test_malformed_config_file_is_a_usage_error), every
+    # command read --config DIR into a traceback (IsADirectoryError, exit 1)
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(P3_DATUM))
+    args = [str(datum) if arg == "DATUM" else arg for arg in args.split()]
+    res = invoke(runner, *args, "--config", str(tmp_path))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "--config" in res.output and "is a directory" in res.output
 
 
 def _paths(node, path=()):
@@ -333,10 +372,13 @@ def test_cohomology_document_shape(runner):
     assert all(doc["checks"].values())
 
 
-def test_cohomology_beyond_the_dense_block_limit_runs(runner):
-    # --p 5 was refused (its dense block was 390625 x 15625); 9 s measured
-    # (Python 3.11, 2 cores), nearly all of it the resolution homotopy check
-    res = invoke(runner, "cohomology", "--p", "5", "--seed", "0")
+@pytest.mark.parametrize("p", ["5", "7"])
+def test_cohomology_beyond_the_dense_block_limit_runs(runner, p):
+    # --p 5 was refused (its dense block was 390625 x 15625), then took 10 s
+    # in a homotopy check over every basis key; with one key per equality
+    # pattern the command takes 0.05-0.11 s at p = 5 and 0.35-0.62 s at
+    # p = 7 (Python 3.11, 2 cores)
+    res = invoke(runner, "cohomology", "--p", p, "--seed", "0")
     assert res.exit_code == 0
     assert "Traceback" not in res.output
     doc = json.loads(res.output)

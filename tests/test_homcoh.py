@@ -7,6 +7,11 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    cochain_basis,
+    group_cochain_complex,
+    verify_resolution_homotopy_per_key,
+)
 
 from defdatum import homcoh
 from defdatum.homcoh import (
@@ -17,7 +22,6 @@ from defdatum.homcoh import (
     cohomology_dims,
     coinduced_module,
     group_cochain_blocks,
-    group_cochain_complex,
     group_cohomology,
     pic_invariants,
     rank_mod_p,
@@ -128,26 +132,17 @@ def test_cech_matches_riemann_roch_on_the_line(p, d):
     assert cech_line_bundle.__wrapped__(p, d) == (h0, h1) == cech_line_bundle(p, d)
 
 
-def test_cech_window_stability():
-    for window in (8, 12, 20):
-        assert cech_line_bundle(3, -4, window=window) == (0, 3)
-        assert cech_line_bundle.__wrapped__(3, -4, window=window) == (0, 3)
-
-
 def test_cochain_block_limit_is_checked_before_any_basis(monkeypatch):
     # at p = 5 the dense complex needed a 390625 x 15625 block; the block
-    # path builds no cochain basis and ranks only differentials of the
-    # K_l, C(n+2, l) x C(n+1, l) for n <= nmax
-    def no_basis(M, n):
-        raise AssertionError(f"a degree-{n} cochain basis was built")
-
+    # path builds no cochain basis (only the dense oracle in tests/oracles.py
+    # does) and ranks only differentials of the K_l, C(n+2, l) x C(n+1, l)
+    # for n <= nmax
     shapes = []
 
     def recording_rank(A, p):
         shapes.append((len(A), len(A[0]) if A else 0))
         return rank_mod_p(A, p)
 
-    monkeypatch.setattr(homcoh, "_cochain_basis", no_basis)
     monkeypatch.setattr(homcoh, "rank_mod_p", recording_rank)
     assert group_cohomology(coinduced_module(5, 2), 2) == [1, 0, 0]
     limit = max(comb(n + 2, ell) * comb(n + 1, ell) for n in range(3) for ell in range(4))
@@ -224,33 +219,40 @@ def _differential_with(M, n, v, faces):
     return {k: c for k, c in out.items() if c}
 
 
-def test_block_differential_negative_controls():
+def test_block_differential_negative_controls(monkeypatch):
     M = coinduced_module(3, 1)
     b = ((1,), 0)
     word = ((0,), (1,))
     K = homcoh._block_complex(M, word, b, 2)
     assert cohomology_dims(K)[:3] == [0, 0, 0]
-    # dropping the first duplicated face breaks d.d = 0 on the block
-    with pytest.raises(ValueError, match="d1 . d0 != 0"):
-        homcoh._block_complex(
-            M, word, b, 2,
-            differential=lambda M, n, v: _differential_with(M, n, v, lambda f, n: f != 1),
-        )
-    # dropping the last face leaves a complex (the decalage), with other cohomology
     zero = homcoh._block_complex(M, ((0,),), ((0,), 0), 2)
-    decalage = homcoh._block_complex(
-        M, ((0,),), ((0,), 0), 2,
-        differential=lambda M, n, v: _differential_with(M, n, v, lambda f, n: f != n + 1),
-    )
     assert cohomology_dims(zero)[:3] == [1, 0, 0]
+    # dropping the first duplicated face breaks d.d = 0 on the block
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            homcoh,
+            "_cochain_differential",
+            lambda M, n, v: _differential_with(M, n, v, lambda f, n: f != 1),
+        )
+        with pytest.raises(ValueError, match="d1 . d0 != 0"):
+            homcoh._block_complex(M, word, b, 2)
+    # dropping the last face leaves a complex (the decalage), with other cohomology
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            homcoh,
+            "_cochain_differential",
+            lambda M, n, v: _differential_with(M, n, v, lambda f, n: f != n + 1),
+        )
+        decalage = homcoh._block_complex(M, ((0,),), ((0,), 0), 2)
     assert cohomology_dims(decalage)[:3] == [0, 0, 0]
 
     # a face that changes the collapsed word leaves the block
     def leaves(M, n, v):
         return {(*key[:-1], (0,), key[-1]): 1 for key in v}
 
+    monkeypatch.setattr(homcoh, "_cochain_differential", leaves)
     with pytest.raises(ValueError, match="out of the block"):
-        homcoh._block_complex(M, word, b, 2, differential=leaves)
+        homcoh._block_complex(M, word, b, 2)
 
 
 @pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -285,25 +287,105 @@ def test_module_validation():
         GradedHModule(5, 1, 2, ((1,),), {(0,): 1}, {((0,), 0): 2})
 
 
-@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_resolution_homotopy(p, s):
     M = coinduced_module(p, s)
     assert verify_resolution_homotopy(M, 2)
+    assert verify_resolution_homotopy_per_key(M, 2)
 
 
-def test_resolution_homotopy_negative_control():
-    # dropping the last face breaks s.d + d.s = id
-    def broken(M, n, v):
-        out = {}
-        for key, coeff in v.items():
-            *phis, b = key
-            for nu in range(n + 1):
-                dup = (*phis[:nu], phis[nu], phis[nu], *phis[nu + 1 :], b)
-                out[dup] = (out.get(dup, 0) + (-1) ** nu * coeff) % M.p
-        return {k: c for k, c in out.items() if c}
+def broken(M, n, v):
+    """The resolution differential with its last face dropped."""
+    out = {}
+    for key, coeff in v.items():
+        *phis, b = key
+        for nu in range(n + 1):
+            dup = (*phis[:nu], phis[nu], phis[nu], *phis[nu + 1 :], b)
+            out[dup] = (out.get(dup, 0) + (-1) ** nu * coeff) % M.p
+    return {k: c for k, c in out.items() if c}
 
-    M = coinduced_module(2, 1)
-    assert not verify_resolution_homotopy(M, 1, differential=broken)
+
+@pytest.mark.parametrize("p,s", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_resolution_homotopy_negative_control(monkeypatch, p, s):
+    # dropping the last face breaks s.d + d.s = id, on every key and per pattern
+    M = coinduced_module(p, s)
+    monkeypatch.setattr(homcoh, "_resolution_differential", broken)
+    assert not verify_resolution_homotopy(M, 1)
+    assert not verify_resolution_homotopy_per_key(M, 1)
+
+
+def equality_pattern(word):
+    """The blocks of equal letters of word, numbered in order of first appearance."""
+    first = {}
+    return tuple(first.setdefault(c, len(first)) for c in word)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        coinduced_module(2, 1),
+        coinduced_module(3, 1),
+        coinduced_module(2, 2),
+        # one basis vector, of a character other than 0
+        GradedHModule.trivial_H(3, 1, {(2,): 1}),
+    ],
+    ids=["O_G-2-1", "O_G-3-1", "O_G-2-2", "one-vector-3-1"],
+)
+def test_pattern_homotopy_covers_every_pattern(monkeypatch, M):
+    # a differential that drops its last face only on the keys of B^n0 whose
+    # (phi_0, ..., phi_n0, psi) has one equality pattern fails both checks,
+    # for every pattern and degree: no pattern is skipped
+    real = homcoh._resolution_differential
+    patterns = sorted(
+        {
+            (n, equality_pattern((*key[:-1], key[-1][0])))
+            for n in range(3)
+            for key in cochain_basis(M, n + 1)
+        }
+    )
+    assert len(patterns) == {2: 2 + 4 + 8, 3: 2 + 5 + 14, 4: 2 + 5 + 15}[M.p**M.s]
+    for n0, pattern in patterns:
+
+        def wrong_on_pattern(M, n, v, n0=n0, pattern=pattern):
+            out = {}
+            for key, c in v.items():
+                wrong = n == n0 and equality_pattern((*key[:-1], key[-1][0])) == pattern
+                for k2, c2 in (broken if wrong else real)(M, n, {key: c}).items():
+                    out[k2] = (out.get(k2, 0) + c2) % M.p
+            return {k: c for k, c in out.items() if c}
+
+        monkeypatch.setattr(homcoh, "_resolution_differential", wrong_on_pattern)
+        assert not verify_resolution_homotopy_per_key(M, 2), (n0, pattern)
+        assert not verify_resolution_homotopy(M, 2), (n0, pattern)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_h_modules(), st.sampled_from([1, 2]), st.booleans())
+def test_pattern_homotopy_matches_per_key_oracle(M, nmax, drop_last_face):
+    with pytest.MonkeyPatch.context() as mp:
+        if drop_last_face:
+            mp.setattr(homcoh, "_resolution_differential", broken)
+        verdict = verify_resolution_homotopy(M, nmax)
+        assert verdict == verify_resolution_homotopy_per_key(M, nmax)
+    assert verdict == (not drop_last_face or M.total_dim() == 0)
+
+
+def test_pattern_homotopy_checks_one_key_per_pattern(monkeypatch):
+    # p = 5, s = 2: B^2 alone has 25^3 * 25 = 390625 keys; per basis vector
+    # the patterns of (phi_0, ..., phi_n, psi) number Bell(n + 2): 2, 5, 15
+    keys = []
+
+    def recording(M, n, key):
+        keys.append((n, key))
+        return True
+
+    monkeypatch.setattr(homcoh, "_homotopy_holds", recording)
+    assert verify_resolution_homotopy(coinduced_module(5, 2), 2)
+    assert len(keys) == len(set(keys)) == 25 * (2 + 5 + 15)
+    # with two characters, at most two blocks: 2, 4, 8 patterns per b
+    keys.clear()
+    assert verify_resolution_homotopy(coinduced_module(2, 1), 2)
+    assert len(keys) == 2 * (2 + 4 + 8)
 
 
 def four_term(p, sizes, mats):

@@ -57,28 +57,61 @@ from .homcoh import rank_mod_p
 # the Cartier operator on rational differentials of the x-line
 
 
-def cartier_rational(f):
-    """C(f dx) for a rational function f.
+def cartier_poly(u):
+    """The polynomial C(u dx)/dx, for a polynomial u.
 
-    Writes f dx = (u g^{p-1} / g^p) dx with g the (monic) denominator,
-    keeps the monomials x^n with n = -1 mod p and takes p-th roots of
-    their coefficients; the result is C_poly(u g^{p-1}) / g dx.
+    C(x^{pk-1} dx) = x^{k-1} dx and C kills the other monomials, so it
+    keeps the coefficients of x^n with n = -1 mod p and takes their
+    p-th roots (Frobenius inverses).
     """
-    d = f.descriptor
+    d = u.descriptor
+    zero = d.zero()
+    return Poly(d, [c.frobenius_inverse() if c else zero for c in u.coeffs[d.p - 1 :: d.p]])
+
+
+def frobenius_cofactor(g):
+    """g^{p-1} for a polynomial g, as the exact quotient g^p // g.
+
+    In characteristic p, Frobenius is additive: g^p = sum c_k^p x^{pk}
+    takes no product, only the p-th powers of the coefficients.
+    """
+    d = g.descriptor
     p = d.p
+    gp = [d.zero()] * (p * g.degree + 1)
+    for k, c in enumerate(g.coeffs):
+        gp[p * k] = c.frobenius()
+    return Poly(d, gp) // g
+
+
+def cartier_rational(f):
+    """C(f dx) for a rational function f = N/g, g monic.
+
+    f dx = (N g^{p-1} / g^p) dx and C(h^p w) = h C(w), so
+    C(f dx) = C(N g^{p-1}) / g dx (``cartier_poly``).  The factor
+    g^{p-1} is g^p // g (``frobenius_cofactor``), one exact division,
+    since g^p = sum c_k^p x^{pk} in characteristic p.
+    """
     if f.is_zero():
         return f
     g = f.denominator
-    u = f.numerator * g ** (p - 1)
-    out = {}
-    for n, c in enumerate(u.coeffs):
-        if c and n % p == p - 1:
-            out[(n + 1) // p - 1] = c.frobenius_inverse()
-    if not out:
-        return RationalFunction(Poly(d, []), Poly.constant(d, 1))
-    deg = max(out)
-    num = Poly(d, [out.get(k, d.zero()) for k in range(deg + 1)])
-    return RationalFunction(num, g)
+    return RationalFunction.from_poly(cartier_poly(f.numerator * frobenius_cofactor(g))) / g
+
+
+def powers_of_linear_factors(descriptor, taus, exponents):
+    """(N, g), monic, with prod (x - tau_j)^{e_j} = N/g.
+
+    N takes the factors with e_j > 0 and g those with e_j < 0, so N/g is
+    in lowest terms when the tau_j are distinct.
+    """
+    d = descriptor
+    num = den = Poly.constant(d, 1)
+    for tau, e in zip(taus, exponents):
+        lin = Poly(d, [-tau, d.one()])
+        if e > 0:
+            num = num * lin**e
+        elif e < 0:
+            den = den * lin ** (-e)
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +210,9 @@ class KummerCover:
 
     def step_factor(self, level):
         """prod (x - tau_j)^{e_j} as a rational function."""
-        d = self.descriptor
-        num = Poly.constant(d, 1)
-        den = Poly.constant(d, 1)
-        for tau, e in zip(self.taus, self.step_exponents(level)):
-            lin = Poly(d, [-tau, d.one()])
-            if e >= 0:
-                num = num * lin**e
-            else:
-                den = den * lin ** (-e)
-        return RationalFunction(num, den)
+        return RationalFunction(
+            *powers_of_linear_factors(self.descriptor, self.taus, self.step_exponents(level))
+        )
 
     def embed(self, target):
         return KummerCover(

@@ -9,6 +9,7 @@ configuration yields byte-identical output.  Exit status: 0 on success,
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 
@@ -99,11 +100,26 @@ def main():
     """Exact search and verification of special deformation data."""
 
 
+def _check_out_dir(ctx, param, value):
+    """--out names a file in an existing directory, checked before any work."""
+    if value is not None:
+        parent = os.path.dirname(value) or "."
+        if not os.path.isdir(parent):
+            raise click.BadParameter(f"{parent!r} is not an existing directory", ctx, param)
+    return value
+
+
 _shared = [
     click.option(
         "--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None
     ),
-    click.option("--out", "out_path", type=click.Path(), default=None),
+    click.option(
+        "--out",
+        "out_path",
+        type=click.Path(dir_okay=False),
+        default=None,
+        callback=_check_out_dir,
+    ),
 ]
 
 

@@ -21,7 +21,6 @@ from .algebra import (
     FieldDescriptor,
     FieldElement,
     Poly,
-    RationalFunction,
     nth_root_with_extension,
 )
 
@@ -178,22 +177,35 @@ def check_candidate(sig, descriptor, tau_new):
     """The Cartier constants of a branch-point tuple, or None.
 
     Level i of the eigenvalue condition asks that the Cartier image of
-    (1/Q) z_{i+1} dx is a constant multiple of (1/Q) z_i dx; the
-    multiple lambda_i is returned for every level when all degenerate.
+    (1/Q) z_{i+1} dx, Q = x(x - 1), is a constant multiple lambda_i of
+    (1/Q) z_i dx; the lambda_i are returned when every level holds.
+
+    Since z_{i+1} = z_i^p prod (x - tau_j)^{e_j}, the image is
+    C(N/g dx) z_i with N/g = (1/Q) prod (x - tau_j)^{e_j}.  That
+    quotient is already in lowest terms with g monic: the tau_j are
+    distinct, and Q only lowers the exponents at tau = 0 and 1.  So N
+    and g are read off the exponents, with no gcd.  With u = N g^{p-1},
+    C(N/g dx) = C(u)/g dx (``cartier.cartier_rational``), and the level
+    holds iff C(u) Q = lambda g for a constant lambda != 0.  As Q and g
+    are monic, that asks deg C(u) = deg g - 2 and lambda = lead C(u).
     """
     cover = build_cover(sig, descriptor, tau_new)
     d = descriptor
     x = Poly.x(d)
     q = x * (x - Poly.constant(d, 1))
-    inv_q = RationalFunction(Poly.constant(d, 1), q)
     s = cover.s
     lams = []
     for i in range(s):
-        image = cartier.cartier_rational(inv_q * cover.step_factor((i + 1) % s))
-        const = image * RationalFunction.from_poly(q)
-        if const.is_zero() or const.denominator.degree > 0 or const.numerator.degree > 0:
+        # build_cover puts 0 and 1, the roots of Q, first
+        es = [e - (j < 2) for j, e in enumerate(cover.step_exponents((i + 1) % s))]
+        num, den = cartier.powers_of_linear_factors(d, cover.taus, es)
+        image = cartier.cartier_poly(num * cartier.frobenius_cofactor(den))
+        if image.is_zero() or image.degree != den.degree - 2:
             return None
-        lams.append(const.numerator.coeffs[0])
+        lam = image.lead
+        if image * q != den * lam:
+            return None
+        lams.append(lam)
     return lams
 
 

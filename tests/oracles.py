@@ -12,13 +12,18 @@ package's path in the unit suites:
   ``sigdata.enumerate_signatures`` (construction from sum b0 = m);
 - ``validate_signature_by_fractions`` (the slope identities in
   Fractions) with ``sigdata.validate_signature`` (the same identities
-  times m, in integers).
+  times m, in integers);
+- ``cartier_rational_by_powering`` (g^(p-1) by repeated squaring) with
+  ``cartier.cartier_rational`` (g^p // g);
+- ``check_candidate_by_rationals`` (normalized rational functions) with
+  ``search.check_candidate`` (the identity C(u) Q = lambda g).
 """
 
 import itertools
 from math import gcd
 
-from defdatum import homcoh, sigdata
+from defdatum import homcoh, search, sigdata
+from defdatum.algebra import Poly, RationalFunction
 
 
 def cochain_basis(M, n):
@@ -136,3 +141,50 @@ def validate_signature_by_fractions(sig):
             if sig.sigma(j, i) == 1:
                 fails.append(f"point {j}, level {i}: sigma = 1 is forbidden")
     return sigdata.ValidationReport(tuple(fails))
+
+
+def cartier_rational_by_powering(f):
+    """C(f dx) = C(u)/g dx with u = N g^(p-1), the power by repeated squaring."""
+    d = f.descriptor
+    p = d.p
+    if f.is_zero():
+        return f
+    g = f.denominator
+    u = f.numerator * g ** (p - 1)
+    out = {}
+    for n, c in enumerate(u.coeffs):
+        if c and n % p == p - 1:
+            out[(n + 1) // p - 1] = c.frobenius_inverse()
+    if not out:
+        return RationalFunction(Poly(d, []), Poly.constant(d, 1))
+    deg = max(out)
+    num = Poly(d, [out.get(k, d.zero()) for k in range(deg + 1)])
+    return RationalFunction(num, g)
+
+
+def check_candidate_by_rationals(sig, descriptor, tau_new):
+    """(lambdas, None) when every level holds, else (None, reason).
+
+    Level i forms C((1/Q) step_factor(i + 1) dx) Q as a normalized
+    rational function; the reason is the first failure at the first
+    failing level: "zero image", "non-constant denominator" or
+    "non-constant numerator".
+    """
+    cover = search.build_cover(sig, descriptor, tau_new)
+    d = descriptor
+    x = Poly.x(d)
+    q = x * (x - Poly.constant(d, 1))
+    inv_q = RationalFunction(Poly.constant(d, 1), q)
+    s = cover.s
+    lams = []
+    for i in range(s):
+        image = cartier_rational_by_powering(inv_q * cover.step_factor((i + 1) % s))
+        const = image * RationalFunction.from_poly(q)
+        if const.is_zero():
+            return None, "zero image"
+        if const.denominator.degree > 0:
+            return None, "non-constant denominator"
+        if const.numerator.degree > 0:
+            return None, "non-constant numerator"
+        lams.append(const.numerator.coeffs[0])
+    return lams, None

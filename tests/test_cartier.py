@@ -5,9 +5,11 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import cartier_rational_by_powering
 
 from defdatum import cartier, deform, search, sigdata
 from defdatum.algebra import (
+    _TABLE_CAP,
     INF,
     FieldDescriptor,
     LaurentSeries,
@@ -21,6 +23,7 @@ from defdatum.cartier import (
     cartier_combination,
     cartier_rational,
     expand_combination,
+    frobenius_cofactor,
     is_cartier_fixed,
     omega_combination,
     omega_form,
@@ -67,6 +70,38 @@ def test_cartier_rational_hand_value():
     f = rat(F3, [1], [0, 0, 1]) * rat(F3, [1], [1, 1, 1])  # 1/(x^2 (x-1)^2)
     expected = rat(F3, [1], [0, 2, 1])  # 1/(x^2 - x)
     assert cartier_rational(f) == expected
+
+
+ORACLE_FIELDS = [
+    FieldDescriptor.get(p, r) for p, r in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (5, 2))
+]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(ORACLE_FIELDS).flatmap(lambda d: rationals(d, max_deg=6)))
+def test_cartier_rational_matches_the_powering_oracle(f):
+    assert cartier_rational(f) == cartier_rational_by_powering(f)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(ORACLE_FIELDS).flatmap(
+        lambda d: rationals(d, max_deg=6).map(lambda f: f.denominator)
+    )
+)
+def test_frobenius_cofactor_is_the_p_minus_1_power(g):
+    assert frobenius_cofactor(g) == g ** (g.descriptor.p - 1)
+
+
+def test_cartier_rational_matches_the_powering_oracle_above_the_table_cap():
+    # F_{2^17} elements are polynomials: Frobenius is a power, not a table
+    d = FieldDescriptor.get(2, 17)
+    assert d.order > _TABLE_CAP
+    a, b = d.element([1, 1, 0, 1]), d.element([0, 1, 1])
+    x = Poly.x(d)
+    f = RationalFunction(x * a + b, x**3 + x * b + a)
+    assert cartier_rational(f) == cartier_rational_by_powering(f)
+    assert not cartier_rational(f).is_zero()
 
 
 def test_cartier_fixes_dlog_and_kills_dx():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defdatum
+from defdatum import cli
 from defdatum.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -144,6 +145,42 @@ def test_out_flag_writes_the_document(runner, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["command"] == "search"
+
+
+OUT_COMMANDS = {
+    "enumerate": ["enumerate", "--p", "3", "--m", "2", "--points", "4"],
+    "search": ["search", "--p", "3", "--m", "2", "--points", "3", "--r", "1"],
+    "rigidity": ["rigidity", "--p", "5", "--m", "2", "--points", "4", "--r", "1"],
+    "cohomology": ["cohomology", "--p", "3"],
+    "verify": ["verify", "DATUM"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_unwritable_out_is_a_usage_error_before_any_work(
+    runner, tmp_path, monkeypatch, command, where
+):
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(P3_DATUM))
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "doc.json"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command computed before checking --out")
+
+    for module, name in [
+        (cli.sigdata, "enumerate_signatures"),
+        (cli.search.DeformationDatum, "from_json"),
+        (cli.homcoh, "cech_line_bundle"),
+    ]:
+        monkeypatch.setattr(module, name, no_work)
+    args = [str(datum) if a == "DATUM" else a for a in OUT_COMMANDS[command]]
+    res = invoke(runner, *args, "--out", str(out))
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--out'" in res.output
+    reason = "is a directory" if where == "a directory" else "is not an existing directory"
+    assert reason in res.output
+    assert "Traceback" not in res.output
 
 
 def test_verify_round_trip(runner, tmp_path):
@@ -405,6 +442,16 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
             "search-p3-m2-points3-r1", "search --p 3 --m 2 --points 3 --r 1", id="search"
         ),
         pytest.param(
+            "search-p5-m2-points4-r2",
+            "search --p 5 --m 2 --points 4 --r 2",
+            id="search-one-new-point",
+        ),
+        pytest.param(
+            "search-p7-m2-points5-r1",
+            "search --p 7 --m 2 --points 5 --r 1",
+            id="search-two-new-points",
+        ),
+        pytest.param(
             "rigidity-p5-m2-points4-r1", "rigidity --p 5 --m 2 --points 4 --r 1", id="rigidity"
         ),
         pytest.param(
@@ -416,10 +463,12 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
 )
 def test_cohomology_document_matches_golden(runner, golden, args):
     # the cohomology documents were written by the dense-matrix cohomology,
-    # the search and rigidity documents by the expansions with heuristic
-    # windows and retries, the two-level rigidity document by expansions
-    # over a dual-number series type; "versions" holds the Python version,
-    # so it is taken from this run
+    # the three-point search and rigidity documents by the expansions with
+    # heuristic windows and retries, the two-level rigidity document by
+    # expansions over a dual-number series type, the search documents with
+    # new points by the candidate check on normalized rational functions
+    # with g^(p-1) by repeated squaring; "versions" holds the Python
+    # version, so it is taken from this run
     golden = DATA / f"{golden}.json"
     res = invoke(runner, *args.split())
     assert res.exit_code == 0

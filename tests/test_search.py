@@ -1,6 +1,11 @@
 """Branch-point search, eigenform constants and the verification battery."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import check_candidate_by_rationals
 
 from defdatum import search, sigdata
 from defdatum.algebra import FieldDescriptor
@@ -92,6 +97,70 @@ def test_check_candidate_rejects_most_points():
     sig = sig_of(5, 2, (1, 0, 0), new=(1,))
     assert check_candidate(sig, F5, (F5.element(3),)) is None
     assert check_candidate(sig, F5, (F5.element(2),)) is not None
+
+
+def fields_up_to(p, q_max):
+    return [FieldDescriptor.get(p, r) for r in range(1, 8) if p**r <= q_max]
+
+
+def outside_0_1(descriptor):
+    return [t for t in descriptor.elements() if not t.is_zero() and t != descriptor.one()]
+
+
+# p in {3, 5, 7}, m in {2, 3, 4}, p invertible mod m
+PM = [(p, m) for p in (3, 5, 7) for m in (2, 3, 4) if m % p]
+
+
+@pytest.mark.parametrize("p,m", PM)
+def test_check_candidate_matches_the_oracle_on_every_tau(p, m):
+    # every one-new-point signature, every tau of every F_q with q <= 49
+    sigs = [sig for sig in sigdata.enumerate_signatures(p, m, 4) if len(sig.new_indices()) == 1]
+    assert sigs
+    for descriptor in fields_up_to(p, 49):
+        for sig in sigs:
+            for tau in outside_0_1(descriptor):
+                lams, _ = check_candidate_by_rationals(sig, descriptor, (tau,))
+                assert check_candidate(sig, descriptor, (tau,)) == lams
+
+
+def test_check_candidate_matches_the_oracle_on_every_residue_tuple():
+    # check_candidate takes any cover, admissible or not: every residue
+    # tuple (three base points, one new) with sum 0 mod m, every tau of F_p.
+    # The step exponents e_j = -floor(p b_j / m) are never positive, so
+    # N = 1, deg C(g^(p-1)) <= deg g - 2 and the oracle never finds a
+    # non-constant numerator; its two other rejections both occur.
+    reasons = set()
+    for p, m in PM:
+        descriptor = FieldDescriptor.get(p, 1)
+        for bs in itertools.product(range(m), repeat=4):
+            if sum(bs) % m:
+                continue
+            sig = sig_of(p, m, bs[:3], new=bs[3:])
+            for tau in outside_0_1(descriptor):
+                lams, reason = check_candidate_by_rationals(sig, descriptor, (tau,))
+                assert check_candidate(sig, descriptor, (tau,)) == lams
+                reasons.add(reason)
+    assert reasons == {None, "zero image", "non-constant denominator"}
+
+
+F49 = FieldDescriptor.get(7, 2)
+SIG_7_2_5 = sigdata.enumerate_signatures(7, 2, 5)
+
+
+def test_check_candidate_matches_the_oracle_on_two_new_points_over_f7():
+    assert [len(sig.new_indices()) for sig in SIG_7_2_5] == [2]
+    for sig in SIG_7_2_5:
+        for tau in itertools.permutations(outside_0_1(F7), 2):
+            lams, _ = check_candidate_by_rationals(sig, F7, tau)
+            assert check_candidate(sig, F7, tau) == lams
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(outside_0_1(F49)), min_size=2, max_size=2, unique=True))
+def test_check_candidate_matches_the_oracle_on_two_new_points_over_f49(tau):
+    for sig in SIG_7_2_5:
+        lams, _ = check_candidate_by_rationals(sig, F49, tuple(tau))
+        assert check_candidate(sig, F49, tuple(tau)) == lams
 
 
 def test_build_cover_slot_mapping():

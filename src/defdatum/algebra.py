@@ -2,7 +2,7 @@
 
 Provides finite field towers with canonical moduli, dense univariate
 polynomials, normalized rational functions, and truncated Laurent
-expansions at any point of the projective line (infinity included).
+series.
 
 Serialization of a field element is
 ``{"p": p, "r": r, "modulus": [c0..cr], "coeffs": [a0..a_{r-1}]}``
@@ -643,13 +643,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def compose(self, other):
-        other = self.coerce(other)
-        acc = Poly(self.descriptor, [])
-        for c in reversed(self.coeffs):
-            acc = acc * other + c
-        return acc
-
     def derivative(self):
         return Poly(
             self.descriptor,
@@ -667,10 +660,6 @@ class Poly:
             if not rem.is_zero():
                 return n
             f, n = q, n + 1
-
-    def reversed_(self):
-        """x^deg * f(1/x), used for expansions at infinity."""
-        return Poly(self.descriptor, list(reversed(self.coeffs)))
 
     def map_coefficients(self, fn, target=None):
         target = target or self.descriptor
@@ -986,9 +975,14 @@ class LaurentSeries:
         """A series y with y^m = self, for m prime to the characteristic.
 
         The start order must be divisible by m.  ``lead_root``, an m-th
-        root of the leading coefficient, fixes the branch.
+        root of the leading coefficient, fixes the branch: for p not
+        dividing m the root with that leading coefficient is unique.
+        Newton's iteration y <- ((m - 1) y + u / y^(m-1)) / m on the
+        unit part u (u_0 = 1), from y = 1, doubles the correct prefix at
+        every step, since the derivative m y^(m-1) is a unit.
         """
-        if m % self.descriptor.p == 0:
+        d = self.descriptor
+        if m % d.p == 0:
             raise ValueError("root index divisible by the characteristic")
         if not self.coeffs or self.coeffs[0].is_zero():
             raise ValueError("series root needs a unit leading coefficient")
@@ -998,21 +992,14 @@ class LaurentSeries:
         if lead_root**m != c0:
             raise ValueError("lead_root is not an m-th root of the leading coefficient")
         n = self.trunc - self.start + 1
-        zero, one = self.descriptor.zero(), self.descriptor.one()
-        # unit part u with u_0 = 1
-        inv0 = c0.inverse()
-        u = [self.coeffs[i] * inv0 if i < len(self.coeffs) else zero for i in range(n)]
-        y = [one] + [zero] * (n - 1)
-        melem = self.descriptor.element(m)
-        minv = melem.inverse()
-        for k in range(1, n):
-            # coefficient of t^k in y^m given y_k (linear term m*y_k)
-            ym = _power_series_pow(y, m, k, zero)
-            y[k] = (u[k] - ym[k]) * minv
-        out = [lead_root * c for c in y]
-        return LaurentSeries(
-            self.descriptor, self.start // m, out, self.start // m + n - 1
-        )
+        u = self.shift(-self.start).scale(c0.inverse())
+        y = LaurentSeries(d, 0, [d.one()] + [d.zero()] * (n - 1))
+        minv = d.element(m).inverse()
+        known = 1
+        while known < n:
+            y = (y.scale(m - 1) + u * y ** (1 - m)).scale(minv)
+            known *= 2
+        return y.scale(lead_root).shift(self.start // m)
 
     def derivative(self):
         """Term-wise d/dt."""
@@ -1021,12 +1008,6 @@ class LaurentSeries:
             for n in range(self.start, self.trunc + 1)
         ]
         return LaurentSeries(self.descriptor, self.start - 1, coeffs, self.trunc - 1)
-
-    def truncate(self, trunc):
-        if trunc >= self.trunc:
-            return self
-        coeffs = [self.coeff(n) for n in range(self.start, trunc + 1)]
-        return LaurentSeries(self.descriptor, self.start, coeffs, trunc)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -1045,34 +1026,6 @@ class LaurentSeries:
         ]
         body = " + ".join(terms) if terms else "0"
         return f"LaurentSeries({body} + O(t^{self.trunc + 1}))"
-
-
-def _power_series_pow(y, m, upto, zero):
-    """(sum y_i t^i)^m truncated at order upto (dense helper)."""
-    out = [zero] * (upto + 1)
-    out[0] = y[0] ** 0  # one
-    acc = list(out)
-    e = m
-    base = list(y[: upto + 1]) + [zero] * max(0, upto + 1 - len(y))
-    result = None
-    cur = base
-    while e:
-        if e & 1:
-            result = cur if result is None else _series_mul_trunc(result, cur, upto, zero)
-        e >>= 1
-        if e:
-            cur = _series_mul_trunc(cur, cur, upto, zero)
-    return result
-
-
-def _series_mul_trunc(a, b, upto, zero):
-    out = [zero] * (upto + 1)
-    for i, x in enumerate(a[: upto + 1]):
-        if x:
-            for j, yv in enumerate(b[: upto + 1 - i]):
-                if yv:
-                    out[i + j] = out[i + j] + x * yv
-    return out
 
 
 def nth_root_in_field(a, m):
@@ -1126,44 +1079,3 @@ def nth_root_with_extension(a, m):
         k += 1
     target = FieldDescriptor.get(d.p, d.r * k)
     return nth_root_in_field(a.embed(target), m), target
-
-
-def series_at(f, xi, n):
-    """Truncated Laurent expansion of a rational function at xi.
-
-    The local parameter is t = x - xi at a finite point and t = 1/x at
-    infinity; coefficients run up to order n inclusive.
-    """
-    if f.is_zero():
-        return LaurentSeries(f.descriptor, n + 1, [], n)
-    v = f.ord_at(xi)
-    if n < v:
-        raise ValueError("truncation order below the valuation")
-    d = f.descriptor
-    if xi is INF:
-        num_t = f.numerator.reversed_()
-        den_t = f.denominator.reversed_()
-        shift = f.denominator.degree - f.numerator.degree
-    else:
-        lin = Poly(d, [d.element(xi), d.one()])  # x = xi + t
-        num_t = f.numerator.compose(lin)
-        den_t = f.denominator.compose(lin)
-        shift = 0
-    vn = _poly_valuation(num_t)
-    vd = _poly_valuation(den_t)
-    length = n - v + 1
-    num_win = list(num_t.coeffs[vn : vn + length])
-    den_win = list(den_t.coeffs[vd : vd + length])
-    num_win += [d.zero()] * (length - len(num_win))
-    den_win += [d.zero()] * (length - len(den_win))
-    num_ser = LaurentSeries(d, 0, num_win)
-    den_ser = LaurentSeries(d, 0, den_win)
-    ser = (num_ser * den_ser.inverse()).shift(vn - vd + shift)
-    return ser.truncate(n)
-
-
-def _poly_valuation(poly):
-    for k, c in enumerate(poly.coeffs):
-        if c:
-            return k
-    raise ValueError("zero polynomial")

@@ -8,6 +8,14 @@ at each new point is then read off from honest local expansions over
 k[eps], whose epsilon-part is the plain expansion of the derived form
 ``cartier.epsilon_form``, and the generic failure of specialty along
 every direction is the rigidity statement.
+
+The linear condition is written over one fixed denominator per level.
+With Q N = x (x - 1) prod over the new points (x - tau), which is
+squarefree, and N_i/g_i the level's step factor, every form that
+enters is P N_i/D_i with D_i = Q N g_i, and C(P N_i/D_i dx) =
+C(P U_i)/D_i dx with U_i = N_i D_i^(p-1): the system is the F_p
+coordinates of the polynomials ``cartier.cartier_poly(P U_i)``, with no
+rational function normalized on the way.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import cartier, sigdata
-from .algebra import INF, FieldDescriptor, LaurentSeries, Poly, RationalFunction, series_at
+from .algebra import INF, FieldDescriptor, LaurentSeries, Poly, RationalFunction
 from .homcoh import rank_mod_p, solve_mod_p
 
 
@@ -51,39 +59,19 @@ def _polar_part(datum, delta):
     return cartier.epsilon_form(cartier.omega_combination(datum), INF, moved).hs
 
 
-def _correction_space(datum):
-    """Basis of the allowed regular corrections: x^k/(Q N), k = 0..nu."""
-    d = datum.descriptor
-    x = Poly.x(d)
-    n_poly = Poly.constant(d, 1)
-    for tau in datum.tau:
-        n_poly = n_poly * (x - Poly.constant(d, tau))
-    den = datum.q_poly * n_poly
-    nu = len(datum.tau)
-    return [RationalFunction(x**k, den) for k in range(nu + 1)]
+def _fp_coordinates(polys):
+    """F_p coordinates of polynomials, one row of ints per polynomial.
 
-
-def _rational_to_vector(fs):
-    """F_p coordinate rows of rational functions over a common denominator.
-
-    Returns one row of ints per function, indexed by coefficient,
-    suitable for exact linear algebra; the functions must share a field.
+    Each coefficient contributes its r coordinates, and every row is
+    padded to the longest polynomial, so the rows are columns of one
+    linear system.
     """
-    d = fs[0].descriptor
-    den = Poly.constant(d, 1)
-    for f in fs:
-        g = den.gcd(f.denominator)
-        den = den * (f.denominator // g)
-    nums = [f.numerator * (den // f.denominator) for f in fs]
-    deg = max((n.degree for n in nums if not n.is_zero()), default=0)
-    rows = []
-    for n in nums:
-        row = []
-        for k in range(deg + 1):
-            c = n.coeffs[k] if k <= n.degree else d.zero()
-            row.extend(c.coeffs)
-        rows.append(row)
-    return rows
+    d = polys[0].descriptor
+    width = max(len(f.coeffs) for f in polys)
+    pad = (d.zero(),)
+    return [
+        [a for c in f.coeffs + pad * (width - len(f.coeffs)) for a in c.coeffs] for f in polys
+    ]
 
 
 def lift_datum(datum, delta):
@@ -91,12 +79,25 @@ def lift_datum(datum, delta):
 
     The total eps-part (A_i + h_i) z_i dx must be exact, equivalently
     in the kernel of the Cartier operator of the cover; this is a
-    square F_p-linear condition on h_i inside the pole-bound space.
+    square F_p-linear condition on h_i inside the pole-bound space
+    h_i = P/(Q N), P in the F_p-span of x^k gamma^t (k = 0..nu, t < r,
+    gamma the field's generator, N = prod over the new points (x - tau)).
     Non-singularity of the system is equivalent to purity (the
     homogeneous solutions are exact isotypic sections, and those vanish
     exactly when the isotypic cohomology does), so non-pure input
     raises instead of silently producing junk, and a singular system
     for a pure base is an error, not a report.
+
+    The system is written over one denominator per level.  With the
+    step factor N_i/g_i and D_i = Q N g_i, every form that enters is
+    (P/(Q N)) (N_i/g_i) = P N_i/D_i, so its Cartier image is
+    C(P U_i)/D_i dx with U_i = N_i D_i^(p-1) (``cartier_poly``,
+    ``frobenius_cofactor``), and A_i = P_A/(Q N) with P_A = num(A_i)
+    (Q N / den(A_i)).  A relation among rational functions over one
+    denominator is the same relation among their numerators, so the
+    F_p coordinates of C(x^k gamma^t U_i) and -C(P_A U_i) give the same
+    solution set and rank as any other common denominator: the solution
+    is unique, and h_i is the same whatever denominator writes it.
     """
     sig = datum.signature
     if not sigdata.is_pure(sig):
@@ -107,32 +108,35 @@ def lift_datum(datum, delta):
     if len(delta) != len(datum.tau):
         raise ValueError("one delta per new branch point")
     cover = datum.cover
-    s = cover.s
-    basis = _correction_space(datum)
-    gens = [d.generator() ** t for t in range(d.r)]
-    polar = _polar_part(datum, delta)
+    x = Poly.x(d)
+    qn = datum.q_poly
+    for tau in datum.tau:
+        qn = qn * (x - Poly.constant(d, tau))
+    monomials = [
+        Poly(d, [d.zero()] * k + [d.generator() ** t])
+        for k in range(len(datum.tau) + 1)
+        for t in range(d.r)
+    ]
     corrections = []
-    for i in range(s):
-        step = cover.step_factor(i)
-        rhs = -cartier.cartier_rational(polar[i] * step)
-        images = []
-        for w in basis:
-            for g in gens:
-                images.append(cartier.cartier_rational(w * g * step))
-        *columns, b = _rational_to_vector(images + [rhs])
+    for i, a_i in enumerate(_polar_part(datum, delta)):
+        n_i, g_i = cartier.powers_of_linear_factors(d, cover.taus, cover.step_exponents(i))
+        u_i = n_i * cartier.frobenius_cofactor(qn * g_i)
+        cofactor, rem = divmod(qn, a_i.denominator)
+        if rem:
+            raise ArithmeticError(f"level {i}: the polar part has a pole off the branch points")
+        rhs = -cartier.cartier_poly(a_i.numerator * cofactor * u_i)
+        *columns, b = _fp_coordinates([cartier.cartier_poly(w * u_i) for w in monomials] + [rhs])
         A = list(zip(*columns, strict=True))
-        x = solve_mod_p(A, b, p)
-        if x is None:
+        sol = solve_mod_p(A, b, p)
+        if sol is None:
             raise ArithmeticError(f"level {i}: no logarithmic correction exists")
         if rank_mod_p(A, p) != len(columns):
             raise ArithmeticError(f"level {i}: correction space is singular")
-        h_i = RationalFunction(Poly(d, []), Poly.constant(d, 1))
-        for idx, coeff in enumerate(x):
+        num = Poly(d, [])
+        for coeff, w in zip(sol, monomials):
             if coeff:
-                w = basis[idx // d.r]
-                g = gens[idx % d.r]
-                h_i = h_i + w * (g * coeff)
-        corrections.append(h_i)
+                num = num + w * coeff
+        corrections.append(RationalFunction(num, qn))
     return DeformedDatum(datum, delta, tuple(corrections))
 
 
@@ -143,6 +147,10 @@ def kodaira_spencer(deformed):
     point whose residue is eps_i b_j^{(i)} delta_j / (m Q(tau_j)), so
     delta_j = m Q(tau_j) Res_{tau_j}(h_i) / (eps_i b_j^{(i)}),
     independent of the level i; the cross-level agreement is checked.
+
+    The residue is read in closed form, num(tau)/den'(tau): the pole
+    is simple because den divides the squarefree Q N over which
+    ``lift_datum`` writes h_i (``_simple_residue``).
     """
     datum = deformed.base
     sig = datum.signature
@@ -156,11 +164,7 @@ def kodaira_spencer(deformed):
             b = sig.orbit(j)[i]
             if b % d.p == 0:
                 continue  # the residue is killed by b in characteristic p
-            h_i = deformed.h[i]
-            if h_i.is_zero() or h_i.ord_at(tau) >= 0:
-                res = d.zero()
-            else:
-                res = series_at(h_i, tau, -1).coeff(-1)
+            res = _simple_residue(deformed.h[i], tau)
             val = (d.element(sig.m) * q.evaluate(tau) * res) * (
                 datum.epsilon[i] * d.element(b)
             ).inverse()
@@ -171,6 +175,19 @@ def kodaira_spencer(deformed):
             raise ArithmeticError(f"new point {k}: levels disagree on delta")
         out.append(vals[0])
     return tuple(out)
+
+
+def _simple_residue(h, tau):
+    """Res_tau h dx = num(tau)/den'(tau), and 0 where den(tau) != 0.
+
+    Exact for the corrections of ``lift_datum``: each is written over
+    Q N, which is squarefree because the finite branch points are
+    distinct, so the reduced denominator divides it and every pole is
+    simple.  Then den = (x - tau) e with e(tau) = den'(tau) != 0.
+    """
+    if h.denominator.evaluate(tau):
+        return tau.descriptor.zero()
+    return h.numerator.evaluate(tau) / h.denominator.derivative().evaluate(tau)
 
 
 def is_j_special(deformed, k):

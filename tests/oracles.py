@@ -16,14 +16,20 @@ package's path in the unit suites:
 - ``cartier_rational_by_powering`` (g^(p-1) by repeated squaring) with
   ``cartier.cartier_rational`` (g^p // g);
 - ``check_candidate_by_rationals`` (normalized rational functions) with
-  ``search.check_candidate`` (the identity C(u) Q = lambda g).
+  ``search.check_candidate`` (the identity C(u) Q = lambda g);
+- ``lift_datum_by_rationals`` (every Cartier image a normalized rational
+  function, brought to a common denominator by gcds) with
+  ``deform.lift_datum`` (one fixed denominator per level);
+- ``series_at`` (the Laurent expansion of a rational function) with
+  ``cartier.expand_combination`` on the trivial cover, and with the
+  closed-form residues of ``deform.kodaira_spencer``.
 """
 
 import itertools
 from math import gcd
 
-from defdatum import homcoh, search, sigdata
-from defdatum.algebra import Poly, RationalFunction
+from defdatum import cartier, deform, homcoh, search, sigdata
+from defdatum.algebra import INF, LaurentSeries, Poly, RationalFunction
 
 
 def cochain_basis(M, n):
@@ -188,3 +194,89 @@ def check_candidate_by_rationals(sig, descriptor, tau_new):
             return None, "non-constant numerator"
         lams.append(const.numerator.coeffs[0])
     return lams, None
+
+
+def lift_datum_by_rationals(datum, delta):
+    """``deform.lift_datum`` with every Cartier image a normalized rational function.
+
+    The corrections are spanned over F_p by x^k gamma^t/(Q N), k = 0..nu,
+    t < r; the images C(w step_i dx) and the right-hand side -C(A_i
+    step_i dx) are brought to their least common denominator, one gcd
+    per image, and the numerators' F_p coordinates form the system.
+    """
+    if not sigdata.is_pure(datum.signature):
+        raise ValueError("lift requires a pure signature")
+    d = datum.descriptor
+    delta = tuple(d.element(v) for v in delta)
+    x = Poly.x(d)
+    den = datum.q_poly
+    for tau in datum.tau:
+        den = den * (x - Poly.constant(d, tau))
+    basis = [
+        RationalFunction(x**k, den) * d.generator() ** t
+        for k in range(len(datum.tau) + 1)
+        for t in range(d.r)
+    ]
+    cover = datum.cover
+    corrections = []
+    for i, a_i in enumerate(deform._polar_part(datum, delta)):
+        step = cover.step_factor(i)
+        images = [cartier.cartier_rational(w * step) for w in basis]
+        images.append(-cartier.cartier_rational(a_i * step))
+        common = Poly.constant(d, 1)
+        for f in images:
+            common = common * (f.denominator // common.gcd(f.denominator))
+        nums = [f.numerator * (common // f.denominator) for f in images]
+        width = max(len(n.coeffs) for n in nums)
+        rows = [
+            [a for k in range(width) for a in (n.coeffs[k] if k <= n.degree else d.zero()).coeffs]
+            for n in nums
+        ]
+        *columns, b = rows
+        A = list(zip(*columns, strict=True))
+        sol = homcoh.solve_mod_p(A, b, d.p)
+        if sol is None or homcoh.rank_mod_p(A, d.p) != len(columns):
+            raise ArithmeticError(f"level {i}: no unique logarithmic correction")
+        h_i = RationalFunction(Poly(d, []), Poly.constant(d, 1))
+        for coeff, w in zip(sol, basis):
+            h_i = h_i + w * coeff
+        corrections.append(h_i)
+    return deform.DeformedDatum(datum, delta, tuple(corrections))
+
+
+def series_at(f, xi, n):
+    """Truncated Laurent expansion of a rational function at xi.
+
+    The local parameter is t = x - xi at a finite point and t = 1/x at
+    infinity; coefficients run up to order n inclusive.  Numerator and
+    denominator are rewritten in t (a Taylor shift by Horner's rule at
+    xi, reversed coefficients at infinity), their valuations split off,
+    and the unit parts divided as series of n - ord + 1 terms.
+    """
+    d = f.descriptor
+    if f.is_zero():
+        return LaurentSeries(d, n + 1, [], n)
+    v = f.ord_at(xi)
+    if n < v:
+        raise ValueError("truncation order below the valuation")
+    length = n - v + 1
+
+    def in_t(g):
+        """(valuation, unit part as a series of ``length`` terms) of g in t."""
+        if xi is INF:
+            coeffs = g.coeffs[::-1]
+        else:
+            acc = Poly(d, [])
+            lin = Poly(d, [d.element(xi), d.one()])  # x = xi + t
+            for c in reversed(g.coeffs):
+                acc = acc * lin + c
+            coeffs = acc.coeffs
+        k = next(k for k, c in enumerate(coeffs) if c)
+        win = list(coeffs[k : k + length])
+        return k, LaurentSeries(d, 0, win + [d.zero()] * (length - len(win)))
+
+    vn, num = in_t(f.numerator)
+    vd, den = in_t(f.denominator)
+    shift = f.denominator.degree - f.numerator.degree if xi is INF else 0
+    # the quotient knows orders v .. v + length - 1 = n
+    return (num * den.inverse()).shift(vn - vd + shift)

@@ -5,6 +5,7 @@ import functools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import series_at
 
 from defdatum import _corepy
 from defdatum.algebra import (
@@ -18,7 +19,6 @@ from defdatum.algebra import (
     _nth_root_by_scan,
     nth_root_in_field,
     nth_root_with_extension,
-    series_at,
 )
 
 F3 = FieldDescriptor.get(3, 1)
@@ -231,6 +231,34 @@ def test_series_nth_root_oracle():
     sq = r * r
     for n in range(2, sq.trunc + 1):
         assert sq.coeff(n) == s.coeff(n)
+
+
+# m prime to p in {2, 3, 4, 6}; m = 6 at p = 5 is 1 mod p, where the
+# iteration's (m - 1) y term vanishes
+SERIES_ROOT_CASES = [
+    (desc, m)
+    for desc in (F5, FieldDescriptor.get(7, 1), F9, F25)
+    for m in (2, 3, 4, 6)
+    if m % desc.p
+]
+
+
+@pytest.mark.parametrize(
+    "desc,m", SERIES_ROOT_CASES, ids=[f"F{d.order}-m{m}" for d, m in SERIES_ROOT_CASES]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_series_nth_root_is_the_root_with_the_given_leading_coefficient(desc, m, data):
+    lead = data.draw(elements(desc).filter(bool))
+    rest = data.draw(st.lists(elements(desc), max_size=9))
+    start = m * data.draw(st.integers(-2, 2))
+    s = LaurentSeries(desc, start, [lead**m, *rest])
+    r = s.nth_root(m, lead)
+    assert r.window() == (start // m, start // m + len(rest))
+    assert r.coeff(start // m) == lead
+    power = r**m
+    assert power.window() == s.window()
+    assert power == s
 
 
 def test_series_derivative():

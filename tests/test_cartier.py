@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import cartier_rational_by_powering
+from oracles import cartier_rational_by_powering, series_at
 
 from defdatum import cartier, deform, search, sigdata
 from defdatum.algebra import (
@@ -15,7 +15,6 @@ from defdatum.algebra import (
     LaurentSeries,
     Poly,
     RationalFunction,
-    series_at,
 )
 from defdatum.cartier import (
     FormCombination,

@@ -459,6 +459,11 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
             "rigidity --p 3 --m 4 --points 4 --r 2",
             id="rigidity-two-level",
         ),
+        pytest.param(
+            "rigidity-p5-m2-points4-r2",
+            "rigidity --p 5 --m 2 --points 4 --r 2",
+            id="rigidity-f25",
+        ),
     ],
 )
 def test_cohomology_document_matches_golden(runner, golden, args):
@@ -467,8 +472,10 @@ def test_cohomology_document_matches_golden(runner, golden, args):
     # heuristic windows and retries, the two-level rigidity document by
     # expansions over a dual-number series type, the search documents with
     # new points by the candidate check on normalized rational functions
-    # with g^(p-1) by repeated squaring; "versions" holds the Python
-    # version, so it is taken from this run
+    # with g^(p-1) by repeated squaring, the F_25 rigidity document by
+    # the lift over normalized rational functions with residues from
+    # Laurent expansions; "versions" holds the Python version, so it is
+    # taken from this run
     golden = DATA / f"{golden}.json"
     res = invoke(runner, *args.split())
     assert res.exit_code == 0

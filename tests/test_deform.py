@@ -1,6 +1,11 @@
 """First-order deformations: lifts, Kodaira-Spencer, specialty, rigidity."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import lift_datum_by_rationals, series_at
 
 from defdatum import cartier, deform, search, sigdata
 from defdatum.algebra import FieldDescriptor, Poly, RationalFunction
@@ -69,6 +74,55 @@ def test_lifted_eps_part_is_in_the_cartier_kernel():
         total = deform._polar_part(datum, delta)[i] + lifted.h[i]
         image = cartier.cartier_rational(total * cover.step_factor(i))
         assert image.is_zero()
+
+
+# (p, m, |B|, r) of searched data the lift is compared on: (3, 4, 4, 2)
+# has two levels, one datum of (5, 2, 4, 3) lives over F_125, and the
+# (7, 2, 5, 1) data have two new points, so a direction that moves only
+# one of them gives a polar part whose denominator is a proper factor of
+# Q N
+LIFT_CONFIGS = [(5, 2, 4, 1), (5, 2, 4, 2), (3, 4, 4, 2), (5, 2, 4, 3), (7, 2, 5, 1)]
+
+
+@functools.cache
+def lift_data(p, m, points, r):
+    field = FieldDescriptor.get(p, r)
+    data = [
+        datum
+        for sig in sigdata.enumerate_signatures(p, m, points)
+        for datum in search.search_field(sig, field)
+    ]
+    assert data
+    return data[:1] if r == 3 else data
+
+
+@pytest.mark.parametrize("config", LIFT_CONFIGS, ids=lambda c: ",".join(map(str, c)))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_lift_matches_the_rational_oracle(config, data):
+    datum = data.draw(st.sampled_from(lift_data(*config)))
+    elems = list(datum.descriptor.elements())
+    delta = tuple(data.draw(st.sampled_from(elems)) for _ in datum.tau)
+    assert lift_datum(datum, delta).h == lift_datum_by_rationals(datum, delta).h
+
+
+@pytest.mark.parametrize("config", LIFT_CONFIGS, ids=lambda c: ",".join(map(str, c)))
+def test_closed_form_residue_matches_the_expansion(config):
+    poles = 0
+    for datum in lift_data(*config):
+        d = datum.descriptor
+        n_new = len(datum.tau)
+        directions = [tuple([d.generator()] * n_new)]
+        for k in range(n_new):
+            directions.append(tuple(d.one() if j == k else d.zero() for j in range(n_new)))
+        for delta in directions:
+            for h in lift_datum(datum, delta).h:
+                for tau in datum.tau:
+                    upto = -1 if h.is_zero() else max(-1, h.ord_at(tau))
+                    expected = series_at(h, tau, upto).coeff(-1)
+                    assert deform._simple_residue(h, tau) == expected
+                    poles += not expected.is_zero()
+    assert poles
 
 
 @pytest.mark.parametrize("make", [p5_datum, p3_two_level_datum])

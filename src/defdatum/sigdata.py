@@ -15,8 +15,26 @@ Since base points carry nu = 0 and new points nu = 1, the level-0
 identity sum_j (sigma_j^(0) - 1) = -2 says exactly that the residues
 b0 of all points sum to m.  Enumeration builds its candidates from that
 identity (a base multiset from [0, m) and a new multiset from [1, m)
-with total m) instead of scanning every residue tuple; each candidate
-still goes through `validate_signature`.
+with total m) instead of scanning every residue tuple.
+
+Past level 0, such a candidate is admissible exactly when it is pure:
+sum_j b_j^(i) = m at every level i.  Every other identity holds by
+construction (orbits are computed, not stored; sigma = 1 would need
+b^(i) = 0 at a new point, and p is invertible mod m).  Enumeration
+decides purity on integers before it builds any `Signature`: residue
+b gets one packed int P(b) whose slot i, counted from the high end,
+holds b^(i) = p^i b mod m, and the candidate is pure iff
+sum_j P(b_j) is m in every slot.
+- The slot width is w = (n m).bit_length() for n points: a slot of
+  the sum holds at most n (m - 1) < n m < 2^w, so no slot carries
+  into the next and each slot of the sum is that level's sum.
+- Slot 0 is the high slot, so P(a) < P(b) exactly when
+  orbit(a) < orbit(b) as tuples: comparing packed ints is comparing
+  the canonical keys of `canonicalize`.
+- No deduplication is needed: the construction yields each pair of
+  multisets once, and the canonical order of a signature's points
+  determines its two multisets, so distinct candidates give distinct
+  signatures.
 """
 
 from __future__ import annotations
@@ -172,6 +190,8 @@ def validate_signature(sig):
     """
     if gcd(sig.p, sig.m) != 1:
         return ValidationReport(("p not invertible mod m",))
+    if sig.m < 1:  # ord_m(p), and so sig.s, is undefined
+        return ValidationReport(("m must be a positive integer",))
     fails = _structural_failures(sig)
     p, m, s, orbits = sig.p, sig.m, sig.s, sig.orbits
     # m * sum_j (sigma_j^(i) - 1) = sum_j b_j^(i) + m (sum_j nu_j - n)
@@ -263,45 +283,76 @@ def _multisets(lo, hi, k, total):
             yield (first,) + rest
 
 
-def _admissible(p, m, candidates):
-    """Canonicalize, deduplicate and validate (base, new) residue candidates."""
-    out, seen = [], set()
-    for base, new in candidates:
-        points = tuple(
-            [SigPoint("B0", 0, b) for b in base]
-            + [SigPoint("new", 1, b) for b in new]
-        )
-        sig = canonicalize(Signature(p, m, points))
-        if sig.points in seen:
-            continue
-        seen.add(sig.points)
-        if validate_signature(sig).passed:
-            out.append(sig)
-    out.sort(key=lambda sg: tuple(map(_canonical_key, sg.orbits)))
-    return out
+def _packed_orbits(p, m, n_points):
+    """(P, target): P[b] packs the orbit of b, slot 0 high; target is m in every slot.
+
+    Slots are (n_points m).bit_length() bits wide, so a sum of
+    n_points packed orbits carries into no slot (module docstring).
+    """
+    s, w = multiplicative_order(p, m), (n_points * m).bit_length()
+    packed = []
+    for b in range(m):
+        acc = 0
+        for _ in range(s):
+            acc = (acc << w) | b
+            b = b * p % m
+        packed.append(acc)
+    target = 0
+    for _ in range(s):
+        target = (target << w) | m
+    return packed, target
 
 
 def enumerate_signatures(p, m, n_points):
-    """All special-admissible signatures, canonically ordered and deduplicated.
+    """All special-admissible signatures, canonically ordered.
 
     Candidates are built by construction from the level-0 identity
-    sum b0 = m (see the module docstring): for every split m = t + (m - t),
-    the new residues run over the multisets from [1, m) of size
-    n_points - 3 summing to t, and the base triple over the multisets
-    from [0, m) of size 3 summing to m - t.  Every admissible signature
-    satisfies that identity and canonicalization only reorders points
-    within their role, so none is missed.  Every candidate is then
-    canonicalized and checked by `validate_signature`, so admissibility
-    is decided by the full set of identities, not by the construction.
+    sum b0 = m (see the module docstring): the new residues run over the
+    multisets from [1, m) of size n_points - 3, the base triple over the
+    multisets from [0, m) of size 3, with total m.  Every admissible
+    signature satisfies that identity and canonicalization only reorders
+    points within their role, so none is missed.
+
+    Past level 0 a candidate is admissible iff it is pure at every
+    level, decided as one comparison of packed orbit sums: the base
+    triples are indexed by their packed sum, and a new multiset with
+    packed sum N meets exactly the triples whose sum is target - N.
+    Only these survivors become a `Signature`, with the points of each
+    role in descending packed order, which is the order `canonicalize`
+    gives, and the signatures sorted by the tuple of their points'
+    negated packed orbits, which is the tuple of canonical keys.  The
+    candidates are distinct multisets, so the signatures are distinct.
+    Every survivor still goes through `validate_signature`; a failure
+    there is a fault of the packed test and raises.
     """
     _check_enumeration_args(p, m, n_points)
-    candidates = (
-        (base, new)
-        for t in range(m + 1)
-        for new in _multisets(1, m, n_points - 3, t)
-        for base in _multisets(0, m, 3, m - t)
-    )
-    return _admissible(p, m, candidates)
+    packed, target = _packed_orbits(p, m, n_points)
+    bases = {}
+    for t in range(m + 1):
+        for base in _multisets(0, m, 3, t):
+            bases.setdefault(sum(packed[b] for b in base), []).append(base)
+    keyed = []
+    for t in range(m + 1):
+        for new in _multisets(1, m, n_points - 3, t):
+            rest = target - sum(packed[b] for b in new)
+            for base in bases.get(rest, ()):
+                residues = sorted(base, key=packed.__getitem__, reverse=True)
+                residues += sorted(new, key=packed.__getitem__, reverse=True)
+                keyed.append((tuple(-packed[b] for b in residues), residues))
+    keyed.sort()
+    out = []
+    for _, residues in keyed:
+        sig = Signature(p, m, tuple(
+            SigPoint("B0", 0, b) if j < 3 else SigPoint("new", 1, b)
+            for j, b in enumerate(residues)
+        ))
+        report = validate_signature(sig)
+        if not report.passed:
+            raise ArithmeticError(
+                f"packed purity test admitted {residues}: {report.failures}"
+            )
+        out.append(sig)
+    return out
 
 
 def derived_invariants(sig):

@@ -8,8 +8,11 @@ package's path in the unit suites:
   of a whole degree) with ``homcoh.group_cochain_blocks``;
 - ``verify_resolution_homotopy_per_key`` (every basis key) with
   ``homcoh.verify_resolution_homotopy`` (one key per equality pattern);
-- ``enumerate_signatures_bruteforce`` (every residue tuple) with
-  ``sigdata.enumerate_signatures`` (construction from sum b0 = m);
+- ``enumerate_signatures_bruteforce`` (every residue tuple) and
+  ``enumerate_signatures_by_validation`` (the construction from
+  sum b0 = m, every candidate canonicalized and validated) with
+  ``sigdata.enumerate_signatures`` (the same construction, filtered by
+  packed orbit sums);
 - ``validate_signature_by_fractions`` (the slope identities in
   Fractions) with ``sigdata.validate_signature`` (the same identities
   times m, in integers);
@@ -117,6 +120,24 @@ def verify_resolution_homotopy_per_key(M, nmax):
     )
 
 
+def _admissible(p, m, candidates):
+    """Canonicalize, deduplicate and validate (base, new) residue candidates."""
+    out, seen = [], set()
+    for base, new in candidates:
+        points = tuple(
+            [sigdata.SigPoint("B0", 0, b) for b in base]
+            + [sigdata.SigPoint("new", 1, b) for b in new]
+        )
+        sig = sigdata.canonicalize(sigdata.Signature(p, m, points))
+        if sig.points in seen:
+            continue
+        seen.add(sig.points)
+        if sigdata.validate_signature(sig).passed:
+            out.append(sig)
+    out.sort(key=lambda sg: tuple(map(sigdata._canonical_key, sg.orbits)))
+    return out
+
+
 def enumerate_signatures_bruteforce(p, m, n_points):
     """Every residue tuple scanned: m^3 (m-1)^(|B|-3) candidates."""
     sigdata._check_enumeration_args(p, m, n_points)
@@ -124,13 +145,27 @@ def enumerate_signatures_bruteforce(p, m, n_points):
         itertools.product(range(m), repeat=3),
         itertools.product(range(1, m), repeat=n_points - 3),
     )
-    return sigdata._admissible(p, m, candidates)
+    return _admissible(p, m, candidates)
+
+
+def enumerate_signatures_by_validation(p, m, n_points):
+    """The level-0 construction (residues summing to m), each candidate validated."""
+    sigdata._check_enumeration_args(p, m, n_points)
+    candidates = (
+        (base, new)
+        for t in range(m + 1)
+        for new in sigdata._multisets(1, m, n_points - 3, t)
+        for base in sigdata._multisets(0, m, 3, m - t)
+    )
+    return _admissible(p, m, candidates)
 
 
 def validate_signature_by_fractions(sig):
     """`validate_signature` with the identities in Fractions."""
     if gcd(sig.p, sig.m) != 1:
         return sigdata.ValidationReport(("p not invertible mod m",))
+    if sig.m < 1:
+        return sigdata.ValidationReport(("m must be a positive integer",))
     fails = sigdata._structural_failures(sig)
     s = sig.s
     for i in range(s):

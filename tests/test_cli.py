@@ -136,6 +136,21 @@ def test_negative_m_is_a_usage_error(runner, args):
     assert "m must be a positive integer" in res.output
 
 
+@pytest.mark.parametrize("m", [-1, -2])
+@pytest.mark.parametrize("with_s", [True, False])
+def test_verify_of_a_nonpositive_m_is_a_usage_error(runner, tmp_path, m, with_s):
+    # without "s", validate_signature names the failure itself
+    signature = {**P3_DATUM["signature"], "m": m}
+    if not with_s:
+        del signature["s"]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({**P3_DATUM, "signature": signature}))
+    res = invoke(runner, "verify", str(path))
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "m must be a positive integer" in res.output
+
+
 def test_out_flag_writes_the_document(runner, tmp_path):
     out = tmp_path / "doc.json"
     res = invoke(
@@ -464,6 +479,16 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
             "rigidity --p 5 --m 2 --points 4 --r 2",
             id="rigidity-f25",
         ),
+        pytest.param(
+            "enumerate-p2-m11-points5",
+            "enumerate --p 2 --m 11 --points 5",
+            id="enumerate-s10",
+        ),
+        pytest.param(
+            "enumerate-p5-m12-points5",
+            "enumerate --p 5 --m 12 --points 5",
+            id="enumerate-m12",
+        ),
     ],
 )
 def test_cohomology_document_matches_golden(runner, golden, args):
@@ -474,8 +499,9 @@ def test_cohomology_document_matches_golden(runner, golden, args):
     # new points by the candidate check on normalized rational functions
     # with g^(p-1) by repeated squaring, the F_25 rigidity document by
     # the lift over normalized rational functions with residues from
-    # Laurent expansions; "versions" holds the Python version, so it is
-    # taken from this run
+    # Laurent expansions, the enumerate documents by canonicalizing and
+    # validating every candidate of the level-0 construction; "versions"
+    # holds the Python version, so it is taken from this run
     golden = DATA / f"{golden}.json"
     res = invoke(runner, *args.split())
     assert res.exit_code == 0

@@ -6,7 +6,11 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import enumerate_signatures_bruteforce, validate_signature_by_fractions
+from oracles import (
+    enumerate_signatures_bruteforce,
+    enumerate_signatures_by_validation,
+    validate_signature_by_fractions,
+)
 
 from defdatum import sigdata
 from defdatum.sigdata import (
@@ -135,6 +139,90 @@ def test_enumerate_matches_bruteforce_oracle(key):
     assert enumerate_signatures(*key) == enumerate_signatures_bruteforce(*key)
 
 
+# the invariants grid of the benchmark (208 keys, (2, 11, 6) with s = 10
+# among them), then larger m and |B|
+VALIDATION_GRID = [
+    (p, m, n_points)
+    for p in (2, 3, 5, 7, 11, 13)
+    for m in range(2, 13)
+    for n_points in range(3, 7)
+    if gcd(p, m) == 1
+] + [(5, 24, 5), (11, 40, 5), (13, 12, 8)]
+
+
+def test_enumerate_matches_validation_oracle():
+    assert len(VALIDATION_GRID) == 211
+    for key in VALIDATION_GRID:
+        assert enumerate_signatures(*key) == enumerate_signatures_by_validation(*key), key
+
+
+def test_enumerated_signatures_are_canonical():
+    for key in VALIDATION_GRID:
+        for sig in enumerate_signatures(*key):
+            assert sig == canonicalize(sig), (key, sig)
+
+
+def test_enumerate_raises_when_a_survivor_fails_validation(monkeypatch):
+    # a survivor of the packed test that is not admissible is a fault of
+    # the test, not a candidate to drop
+    monkeypatch.setattr(
+        sigdata, "validate_signature", lambda sig: sigdata.ValidationReport(("planted",))
+    )
+    with pytest.raises(ArithmeticError, match="planted"):
+        enumerate_signatures(3, 2, 4)
+
+
+@st.composite
+def packing_cases(draw):
+    """(p, m, n_points, residues): p <= 13 prime to m <= 60, at most n_points residues."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    m = draw(st.integers(1, 60).filter(lambda m: m % p))
+    n_points = draw(st.integers(1, 10))
+    return p, m, n_points, draw(st.lists(st.integers(0, m - 1), max_size=n_points))
+
+
+def _orbit(p, m, b):
+    out = []
+    for _ in range(multiplicative_order(p, m)):
+        out.append(b)
+        b = b * p % m
+    return tuple(out)
+
+
+def _unpack(value, p, m, n_points):
+    """Slot i of value, slot 0 the high one, in the documented width."""
+    s, w = multiplicative_order(p, m), (n_points * m).bit_length()
+    assert value >> (s * w) == 0
+    return [(value >> (w * (s - 1 - i))) & ((1 << w) - 1) for i in range(s)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(packing_cases())
+@example((2, 11, 5, [1, 3, 7]))  # s = 10
+@example((2, 11, 10, [10] * 10))  # the largest level sums
+@example((13, 60, 10, [59] * 10))
+def test_packed_sum_unpacks_to_the_level_sums(case):
+    p, m, n_points, residues = case
+    packed, target = sigdata._packed_orbits(p, m, n_points)
+    orbits = [_orbit(p, m, b) for b in residues]
+    s = multiplicative_order(p, m)
+    expected = [sum(orbit[i] for orbit in orbits) for i in range(s)]
+    assert _unpack(sum(packed[b] for b in residues), p, m, n_points) == expected
+    assert _unpack(target, p, m, n_points) == [m] * s
+
+
+@settings(max_examples=100, deadline=None)
+@given(packing_cases())
+@example((2, 11, 5, []))  # s = 10
+def test_packed_order_is_the_orbit_order(case):
+    p, m, n_points, _ = case
+    packed, _ = sigdata._packed_orbits(p, m, n_points)
+    orbits = [_orbit(p, m, b) for b in range(m)]
+    for a in range(m):
+        for b in range(m):
+            assert (packed[a] < packed[b]) == (orbits[a] < orbits[b]), (a, b)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([(3, 2), (3, 4), (5, 2), (5, 4), (7, 2), (7, 3)]),
@@ -252,6 +340,14 @@ def test_derived_data_is_cached_per_instance():
     assert hash(sig) == hash(sig_of(3, 4, (3, 0, 0), new=(1,)))
     not_invertible = Signature(3, 6, GOLDEN.points)  # s is lazy: this builds
     assert validate_signature(not_invertible).failures == ("p not invertible mod m",)
+
+
+@pytest.mark.parametrize("m", [-1, -2])
+def test_validate_names_a_nonpositive_m(m):
+    # gcd(3, m) = 1, so the failure is m's own, not p's; ord_m(3) is undefined
+    sig = Signature(3, m, GOLDEN.points)
+    assert validate_signature(sig).failures == ("m must be a positive integer",)
+    assert validate_signature_by_fractions(sig) == validate_signature(sig)
 
 
 def test_derived_invariants_golden():

@@ -527,8 +527,8 @@ def _apply(Mat, v, p):
 
 
 def _quotient_group(cocycles, boundaries, p):
-    """Orders the classes of cocycles mod the boundary set; returns
-    (number of classes, canonical representative map)."""
+    """Maps each cocycle z to the canonical representative of its class
+    mod the boundary set: the least of the translates z + b."""
     bset = sorted(boundaries)
     reps = {}
     for z in cocycles:

@@ -286,7 +286,7 @@ def verify_datum(datum):
     """
     sig = datum.signature
     checks = {}
-    checks["signature_valid"] = sigdata.validate_signature(sig).passed
+    checks["signature_valid"] = sig.validation.passed
     checks["pure"] = sigdata.is_pure(sig)
     checks["special"] = bool(sigdata.is_special(sig))
     cover = datum.cover

@@ -70,8 +70,8 @@ class SigPoint:
 
 @dataclass(frozen=True)
 class Signature:
-    """s and the orbits are computed once, on first use; lazily, so that a
-    signature with p not invertible mod m can still be built and validated.
+    """s, the orbits and ``validation`` are computed once, on first use, so
+    a signature with p not invertible mod m can still be built and validated.
     """
 
     p: int
@@ -94,6 +94,11 @@ class Signature:
                 b = (b * p) % m
             out.append(tuple(orbit))
         return tuple(out)
+
+    @cached_property
+    def validation(self):
+        """The ``validate_signature`` report, computed once per signature."""
+        return validate_signature(self)
 
     @property
     def n_points(self):
@@ -239,9 +244,8 @@ def is_special(sig):
     purity and level-independence of the integer parts must follow; both
     are recomputed and reported rather than assumed.
     """
-    report = validate_signature(sig)
     b0 = sig.b0_indices()
-    special = report.passed and len(b0) == 3
+    special = sig.validation.passed and len(b0) == 3
     pure = is_pure(sig) if special else False
     # int(sigma) truncates toward zero: int(nu + b/m) = nu unless nu < 0 < b
     nu_constant = all(
@@ -346,10 +350,9 @@ def enumerate_signatures(p, m, n_points):
             SigPoint("B0", 0, b) if j < 3 else SigPoint("new", 1, b)
             for j, b in enumerate(residues)
         ))
-        report = validate_signature(sig)
-        if not report.passed:
+        if not sig.validation.passed:
             raise ArithmeticError(
-                f"packed purity test admitted {residues}: {report.failures}"
+                f"packed purity test admitted {residues}: {sig.validation.failures}"
             )
         out.append(sig)
     return out

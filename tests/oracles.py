@@ -23,6 +23,11 @@ package's path in the unit suites:
 - ``lift_datum_by_rationals`` (every Cartier image a normalized rational
   function, brought to a common denominator by gcds) with
   ``deform.lift_datum`` (one fixed denominator per level);
+- ``rigidity_check_by_directions`` (one lift, round trip and specialty
+  test per direction c e_k, c in F_q^x) with ``deform.rigidity_check``
+  (one lift per unit vector e_k, the line F_q^x e_k by linearity), on
+  the ``LIFT_CONFIGS`` data with q <= 25, the two-new-point (7, 2, 5, 1)
+  data and the non-rigid (7, 4, 4, 1) data;
 - ``series_at`` (the Laurent expansion of a rational function) with
   ``cartier.expand_combination`` on the trivial cover, and with the
   closed-form residues of ``deform.kodaira_spencer``.
@@ -277,6 +282,50 @@ def lift_datum_by_rationals(datum, delta):
             h_i = h_i + w * coeff
         corrections.append(h_i)
     return deform.DeformedDatum(datum, delta, tuple(corrections))
+
+
+def rigidity_check_by_directions(datum):
+    """``deform.rigidity_check`` with one lift per direction.
+
+    Every c e_k, c in F_q^x, is lifted, sent through Kodaira-Spencer and
+    tested for specialty at every new point: n_new (q - 1) + 1 lifts,
+    where the package derives the line F_q^x e_k from the lift of e_k.
+    """
+    d = datum.descriptor
+    n_new = len(datum.tau)
+    zero = tuple(d.zero() for _ in range(n_new))
+    report = {"zero_direction_special": None, "directions": [], "rigid": None}
+    lifted0 = deform.lift_datum(datum, zero)
+    ks0 = deform.kodaira_spencer(lifted0)
+    report["zero_roundtrip"] = ks0 == zero
+    report["zero_direction_special"] = all(
+        deform.is_j_special(lifted0, k) for k in range(n_new)
+    )
+    directions = []
+    for k in range(n_new):
+        for c in d.elements():
+            if c.is_zero():
+                continue
+            vec = [d.zero()] * n_new
+            vec[k] = c
+            directions.append(tuple(vec))
+    all_fail = True
+    for vec in directions:
+        lifted = deform.lift_datum(datum, vec)
+        roundtrip = deform.kodaira_spencer(lifted) == vec
+        fails_at = [k for k in range(n_new) if not deform.is_j_special(lifted, k)]
+        entry = {
+            "delta": [v.to_json() for v in vec],
+            "roundtrip": roundtrip,
+            "fails_specialty_at": fails_at,
+        }
+        report["directions"].append(entry)
+        if not fails_at or not roundtrip:
+            all_fail = False
+    report["rigid"] = (
+        all_fail and report["zero_direction_special"] and report["zero_roundtrip"]
+    )
+    return report
 
 
 def series_at(f, xi, n):

@@ -480,6 +480,11 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
             id="rigidity-f25",
         ),
         pytest.param(
+            "rigidity-p7-m2-points5-r1",
+            "rigidity --p 7 --m 2 --points 5 --r 1",
+            id="rigidity-two-new-points",
+        ),
+        pytest.param(
             "enumerate-p2-m11-points5",
             "enumerate --p 2 --m 11 --points 5",
             id="enumerate-s10",
@@ -499,7 +504,8 @@ def test_cohomology_document_matches_golden(runner, golden, args):
     # new points by the candidate check on normalized rational functions
     # with g^(p-1) by repeated squaring, the F_25 rigidity document by
     # the lift over normalized rational functions with residues from
-    # Laurent expansions, the enumerate documents by canonicalizing and
+    # Laurent expansions, the two-new-point rigidity document by one lift
+    # per direction c e_k, the enumerate documents by canonicalizing and
     # validating every candidate of the level-0 construction; "versions"
     # holds the Python version, so it is taken from this run
     golden = DATA / f"{golden}.json"

@@ -3,9 +3,9 @@
 import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import lift_datum_by_rationals, series_at
+from oracles import lift_datum_by_rationals, rigidity_check_by_directions, series_at
 
 from defdatum import cartier, deform, search, sigdata
 from defdatum.algebra import FieldDescriptor, Poly, RationalFunction
@@ -104,6 +104,67 @@ def test_lift_matches_the_rational_oracle(config, data):
     elems = list(datum.descriptor.elements())
     delta = tuple(data.draw(st.sampled_from(elems)) for _ in datum.tau)
     assert lift_datum(datum, delta).h == lift_datum_by_rationals(datum, delta).h
+
+
+@pytest.mark.parametrize("config", LIFT_CONFIGS, ids=lambda c: ",".join(map(str, c)))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_lift_and_kodaira_spencer_are_linear_in_delta(config, data):
+    # rigidity_check derives the line F_q^x delta from the lift of delta
+    datum = data.draw(st.sampled_from(lift_data(*config)))
+    elems = list(datum.descriptor.elements())
+    delta = tuple(data.draw(st.sampled_from(elems)) for _ in datum.tau)
+    c = data.draw(st.sampled_from([e for e in elems if not e.is_zero()]))
+    lifted = lift_datum(datum, delta)
+    scaled = lift_datum(datum, tuple(c * v for v in delta))
+    assert scaled.h == tuple(h * c for h in lifted.h)
+    assert kodaira_spencer(scaled) == tuple(c * v for v in kodaira_spencer(lifted))
+
+
+# every LIFT_CONFIGS entry with q <= 25, the two-new-point (7, 2, 5, 1)
+# among them, and (7, 4, 4, 1), whose two data are not rigid
+RIGIDITY_ORACLE_CONFIGS = [c for c in LIFT_CONFIGS if c[0] ** c[3] <= 25] + [(7, 4, 4, 1)]
+
+
+@pytest.mark.parametrize(
+    "config", RIGIDITY_ORACLE_CONFIGS, ids=lambda c: ",".join(map(str, c))
+)
+def test_rigidity_matches_the_direction_scan(config):
+    for datum in lift_data(*config):
+        assert rigidity_check(datum) == rigidity_check_by_directions(datum)
+
+
+def test_non_rigid_data_are_compared():
+    assert not any(rigidity_check(datum)["rigid"] for datum in lift_data(7, 4, 4, 1))
+
+
+@pytest.mark.parametrize("config", [(5, 2, 4, 1), (7, 2, 5, 1)], ids=["one-new", "two-new"])
+def test_rigidity_lifts_once_per_unit_vector(config, monkeypatch):
+    calls = []
+
+    def counted(datum, delta):
+        calls.append(delta)
+        return lift_datum(datum, delta)
+
+    monkeypatch.setattr(deform, "lift_datum", counted)
+    for datum in lift_data(*config):
+        calls.clear()
+        rigidity_check(datum)
+        assert len(calls) == len(datum.tau) + 1
+
+
+@pytest.mark.parametrize("config", [(7, 2, 5, 1), (5, 2, 5, 2)], ids=["f7", "f25"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_lift_along_any_direction_fails_specialty(config, data):
+    # the rigidity document lists only the directions c e_k; every other
+    # nonzero direction, one moving both new points, must break specialty too
+    datum = data.draw(st.sampled_from(lift_data(*config)))
+    elems = list(datum.descriptor.elements())
+    delta = tuple(data.draw(st.sampled_from(elems)) for _ in datum.tau)
+    assume(any(not v.is_zero() for v in delta))
+    lifted = lift_datum(datum, delta)
+    assert any(not is_j_special(lifted, j) for j in range(len(datum.tau)))
 
 
 @pytest.mark.parametrize("config", LIFT_CONFIGS, ids=lambda c: ",".join(map(str, c)))

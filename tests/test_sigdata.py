@@ -243,6 +243,14 @@ def test_enumerated_signatures_satisfy_the_identities(pm, n_points):
         assert rep.pure and rep.nu_constant  # specialty forces both
 
 
+def test_is_special_reuses_the_enumerated_verdict(monkeypatch):
+    sigs = enumerate_signatures(5, 4, 5)
+    calls = []
+    monkeypatch.setattr(sigdata, "validate_signature", calls.append)
+    assert all(is_special(sig).special for sig in sigs)
+    assert calls == []
+
+
 # Fraction forms of the integer identities, oracles for the tests below
 
 

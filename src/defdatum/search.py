@@ -184,10 +184,13 @@ def check_candidate(sig, descriptor, tau_new):
     C(N/g dx) z_i with N/g = (1/Q) prod (x - tau_j)^{e_j}.  That
     quotient is already in lowest terms with g monic: the tau_j are
     distinct, and Q only lowers the exponents at tau = 0 and 1.  So N
-    and g are read off the exponents, with no gcd.  With u = N g^{p-1},
-    C(N/g dx) = C(u)/g dx (``cartier.cartier_rational``), and the level
-    holds iff C(u) Q = lambda g for a constant lambda != 0.  As Q and g
-    are monic, that asks deg C(u) = deg g - 2 and lambda = lead C(u).
+    and g are read off the exponents, with no gcd
+    (``cartier.powers_of_linear_factors``).  With u = N g^{p-1}
+    (``cartier.frobenius_cofactor`` gives g^{p-1}), C(N/g dx) = C(u)/g dx
+    for the polynomial Cartier operator C (``cartier.cartier_poly``), and
+    the level holds iff C(u) Q = lambda g for a constant lambda != 0.  As
+    Q and g are monic, that asks deg C(u) = deg g - 2 and
+    lambda = lead C(u).
     """
     cover = build_cover(sig, descriptor, tau_new)
     d = descriptor
@@ -240,6 +243,15 @@ def search_field(sig, descriptor):
     Deterministic: candidates are scanned in serialization order and new
     points with identical residues are taken in increasing order (they
     are interchangeable, so one representative per unordered choice).
+
+    Only one tuple per Frobenius orbit is checked.  The cover equation
+    has F_p coefficients apart from the tau_j, so tau passes the Cartier
+    test iff tau^p does (coordinatewise, interchangeable slots re-sorted),
+    and then lambda(tau^p) = lambda(tau)^p.  The first unchecked tuple in
+    serialization order stands for its orbit; on a hit the k-th image
+    gets lambda^(p^k), and its eps from its own ``normalize_epsilons``
+    call, since the least root is not Galois-equivariant.  The data are
+    sorted as the full scan would list them.
     """
     sig = sigdata.canonicalize(sig)
     report = sigdata.validate_signature(sig)
@@ -249,8 +261,9 @@ def search_field(sig, descriptor):
     candidates = [
         e for e in descriptor.elements() if not e.is_zero() and e != descriptor.one()
     ]
-    found = []
     slot_b = [sig.points[j].b0 for j in new]
+    seen = set()
+    hits = {}  # tau key (slot order) -> datum
     for tau in itertools.permutations(candidates, len(new)):
         ok = True
         for a, b in itertools.combinations(range(len(new)), 2):
@@ -259,18 +272,31 @@ def search_field(sig, descriptor):
                 break
         if not ok:
             continue
+        if tuple(t.key() for t in tau) in seen:
+            continue
+        orbit = [tau]
+        while True:
+            image = _canonical_slots(slot_b, [t.frobenius() for t in orbit[-1]])
+            if image == tau:
+                break
+            orbit.append(image)
+        keys = [tuple(t.key() for t in member) for member in orbit]
+        seen.update(keys)
         lams = check_candidate(sig, descriptor, tau)
         if lams is None:
             continue
-        eps, eps_field = normalize_epsilons(descriptor, lams)
-        datum = DeformationDatum(
-            sig,
-            eps_field,
-            tuple(t.embed(eps_field) for t in tau),
-            eps,
-            tuple(l.embed(eps_field) for l in lams),
-        )
-        found.append(datum)
+        for key, member in zip(keys, orbit):
+            eps, eps_field = normalize_epsilons(descriptor, lams)
+            hits[key] = DeformationDatum(
+                sig,
+                eps_field,
+                tuple(t.embed(eps_field) for t in member),
+                eps,
+                tuple(l.embed(eps_field) for l in lams),
+            )
+            lams = [l.frobenius() for l in lams]
+    # the full scan's order first, so that ties below keep it
+    found = [hits[key] for key in sorted(hits)]
     found.sort(key=lambda dt: tuple(t.key() for t in dt.tau))
     return found
 
@@ -337,16 +363,20 @@ def verify_datum(datum):
     return checks
 
 
-def _canonical_tau_key(slot_b, taus):
-    """Slot-ordered keys with interchangeable slots (equal b) sorted."""
-    keys = [t.key() for t in taus]
-    out = list(keys)
+def _canonical_slots(slot_b, taus):
+    """The tuple with interchangeable slots (equal b) sorted by key."""
+    out = list(taus)
     for b in set(slot_b):
         idx = [i for i, bb in enumerate(slot_b) if bb == b]
-        vals = sorted(keys[i] for i in idx)
+        vals = sorted((taus[i] for i in idx), key=lambda t: t.key())
         for i, v in zip(idx, vals):
             out[i] = v
     return tuple(out)
+
+
+def _canonical_tau_key(slot_b, taus):
+    """Slot-ordered keys with interchangeable slots (equal b) sorted."""
+    return tuple(t.key() for t in _canonical_slots(slot_b, taus))
 
 
 def frobenius_orbits(data):

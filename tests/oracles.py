@@ -20,6 +20,9 @@ package's path in the unit suites:
   ``cartier.cartier_rational`` (g^p // g);
 - ``check_candidate_by_rationals`` (normalized rational functions) with
   ``search.check_candidate`` (the identity C(u) Q = lambda g);
+- ``search_field_by_full_scan`` (the candidate check on every tuple)
+  with ``search.search_field`` (one check per Frobenius orbit, the
+  images' lambda by Frobenius);
 - ``lift_datum_by_rationals`` (every Cartier image a normalized rational
   function, brought to a common denominator by gcds) with
   ``deform.lift_datum`` (one fixed denominator per level);
@@ -234,6 +237,46 @@ def check_candidate_by_rationals(sig, descriptor, tau_new):
             return None, "non-constant numerator"
         lams.append(const.numerator.coeffs[0])
     return lams, None
+
+
+def search_field_by_full_scan(sig, descriptor):
+    """``search.search_field`` with ``check_candidate`` run on every tuple.
+
+    Candidates are scanned in serialization order, new points with
+    identical residues in increasing order, and each hit gets its own
+    lambda and eps.
+    """
+    sig = sigdata.canonicalize(sig)
+    report = sigdata.validate_signature(sig)
+    if not report.passed:
+        raise ValueError(f"invalid signature: {report.failures}")
+    new = sig.new_indices()
+    candidates = [
+        e for e in descriptor.elements() if not e.is_zero() and e != descriptor.one()
+    ]
+    found = []
+    slot_b = [sig.points[j].b0 for j in new]
+    for tau in itertools.permutations(candidates, len(new)):
+        if any(
+            slot_b[a] == slot_b[b] and tau[a].key() >= tau[b].key()
+            for a, b in itertools.combinations(range(len(new)), 2)
+        ):
+            continue
+        lams = search.check_candidate(sig, descriptor, tau)
+        if lams is None:
+            continue
+        eps, eps_field = search.normalize_epsilons(descriptor, lams)
+        found.append(
+            search.DeformationDatum(
+                sig,
+                eps_field,
+                tuple(t.embed(eps_field) for t in tau),
+                eps,
+                tuple(l.embed(eps_field) for l in lams),
+            )
+        )
+    found.sort(key=lambda dt: tuple(t.key() for t in dt.tau))
+    return found
 
 
 def lift_datum_by_rationals(datum, delta):

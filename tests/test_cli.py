@@ -467,6 +467,11 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
             id="search-two-new-points",
         ),
         pytest.param(
+            "search-p7-m3-points4-r2",
+            "search --p 7 --m 3 --points 4 --r 2",
+            id="search-frobenius-orbit",
+        ),
+        pytest.param(
             "rigidity-p5-m2-points4-r1", "rigidity --p 5 --m 2 --points 4 --r 1", id="rigidity"
         ),
         pytest.param(
@@ -506,7 +511,9 @@ def test_cohomology_document_matches_golden(runner, golden, args):
     # the lift over normalized rational functions with residues from
     # Laurent expansions, the two-new-point rigidity document by one lift
     # per direction c e_k, the enumerate documents by canonicalizing and
-    # validating every candidate of the level-0 construction; "versions"
+    # validating every candidate of the level-0 construction, the F_49
+    # search document (a Frobenius orbit of two data) by the candidate
+    # check on every tuple rather than one per orbit; "versions"
     # holds the Python version, so it is taken from this run
     golden = DATA / f"{golden}.json"
     res = invoke(runner, *args.split())

@@ -1,11 +1,12 @@
 """Branch-point search, eigenform constants and the verification battery."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import check_candidate_by_rationals
+from oracles import check_candidate_by_rationals, search_field_by_full_scan
 
 from defdatum import search, sigdata
 from defdatum.algebra import FieldDescriptor
@@ -216,12 +217,125 @@ def test_frobenius_orbits_partition():
 
 
 def test_frobenius_orbits_pair_conjugate_data():
+    # the orbit scan checks one tau of the pair and emits its image
     sig = sig_of(5, 4, (1, 0, 0), new=(3,))
     data = search_field(sig, FieldDescriptor.get(5, 2))
-    if len(data) < 2:
-        pytest.skip("conjugate pair not present in this range")
-    orbits = frobenius_orbits(data)
-    assert any(len(orb) == 2 for orb in orbits)
+    assert len(data) == 2
+    assert frobenius_orbits(data) == [[0, 1]]
+    first, second = data
+    assert second.tau == tuple(t.frobenius() for t in first.tau)
+    assert second.lam == tuple(l.frobenius() for l in first.lam)
+    for datum in data:
+        assert verify_datum(datum)["passed"]
+
+
+# the benchmark's scan configurations (p, m, points, r), then larger ones
+SCAN_CONFIGS = [
+    (3, 2, 3, 1),
+    (2, 3, 4, 2),
+    (3, 2, 4, 2),
+    (3, 2, 4, 4),
+    (2, 5, 4, 4),
+    (5, 2, 4, 1),
+    (5, 2, 4, 2),
+    (5, 2, 4, 3),
+    (7, 2, 5, 1),
+    (7, 2, 4, 1),
+    (7, 2, 4, 2),
+    (11, 2, 4, 1),
+    (13, 2, 4, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "p,m,points,r", SCAN_CONFIGS + [(5, 2, 5, 2), (7, 3, 4, 2), (5, 4, 4, 2), (7, 2, 5, 2)]
+)
+def test_search_matches_the_full_scan(p, m, points, r):
+    # three of the four (7, 2, 5, 2) data are pairs (a, a^7), which
+    # Frobenius maps to themselves re-sorted
+    assert_search_matches_the_full_scan(p, m, points, r)
+
+
+def assert_search_matches_the_full_scan(p, m, points, r):
+    """The same documents in the same order, whether every tuple is
+    checked or one per Frobenius orbit; returns the number of data."""
+    descriptor = FieldDescriptor.get(p, r)
+    count = 0
+    for sig in sigdata.enumerate_signatures(p, m, points):
+        got = [dt.to_json() for dt in search_field(sig, descriptor)]
+        expected = [dt.to_json() for dt in search_field_by_full_scan(sig, descriptor)]
+        assert json.dumps(got) == json.dumps(expected)
+        count += len(got)
+    return count
+
+
+@pytest.mark.parametrize("p,m,points,r", [(5, 2, 4, 2), (5, 2, 4, 3), (3, 4, 4, 2), (7, 2, 5, 2)])
+def test_orbit_images_get_frobenius_constants_and_their_own_eps(monkeypatch, p, m, points, r):
+    # every orbit of two or more that the search finds above has lambda = 1;
+    # a stand-in check whose lambda is a power of the product of the new
+    # points (Frobenius-equivariant, symmetric in the slots) exercises
+    # lambda^(p^k) and the eps recomputed per image.  Its lambda is a
+    # (p^s - 1)-th power, so eps lies in the field and needs no root scan
+    def stand_in(sig, descriptor, tau):
+        prod = descriptor.one()
+        for t in tau:
+            prod = prod * t
+        if prod.multiplicative_order() % 2:
+            return None
+        return [prod ** ((i + 1) * (p**sig.s - 1)) for i in range(sig.s)]
+
+    monkeypatch.setattr(search, "check_candidate", stand_in)
+    assert assert_search_matches_the_full_scan(p, m, points, r) > r
+
+
+def assert_frobenius_carries_the_check(sig, descriptor, tau):
+    """check_candidate at tau^p is None iff at tau, else lambda^p; returns
+    the constants at tau."""
+    lams = check_candidate(sig, descriptor, tau)
+    image = check_candidate(sig, descriptor, tuple(t.frobenius() for t in tau))
+    if lams is None:
+        assert image is None
+    else:
+        assert image == [l.frobenius() for l in lams]
+    return lams
+
+
+# (p, m, points, r): one new point over F_4 ... F_125, two over F_49
+LEMMA_CASES = [
+    (2, 3, 4, 2),
+    (2, 5, 4, 4),
+    (3, 2, 4, 3),
+    (3, 4, 4, 2),
+    (3, 4, 4, 4),
+    (5, 2, 4, 3),
+    (5, 4, 4, 2),
+    (7, 3, 4, 2),
+    (7, 2, 5, 2),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_frobenius_carries_the_candidate_check(data):
+    p, m, points, r = data.draw(st.sampled_from(LEMMA_CASES))
+    descriptor = FieldDescriptor.get(p, r)
+    sig = data.draw(st.sampled_from(sigdata.enumerate_signatures(p, m, points)))
+    k = len(sig.new_indices())
+    tau = data.draw(
+        st.lists(st.sampled_from(outside_0_1(descriptor)), min_size=k, max_size=k, unique=True)
+    )
+    assert_frobenius_carries_the_check(sig, descriptor, tuple(tau))
+
+
+@pytest.mark.parametrize("p,m,points,r", [(5, 4, 4, 2), (7, 3, 4, 2), (5, 2, 5, 2)])
+def test_frobenius_carries_the_candidate_check_on_every_tuple(p, m, points, r):
+    # random tau rarely pass the check; here every tuple is tried, hits included
+    descriptor = FieldDescriptor.get(p, r)
+    hits = 0
+    for sig in sigdata.enumerate_signatures(p, m, points):
+        for tau in itertools.permutations(outside_0_1(descriptor), len(sig.new_indices())):
+            hits += assert_frobenius_carries_the_check(sig, descriptor, tau) is not None
+    assert hits
 
 
 def test_no_signature_tau_pair_repeats():

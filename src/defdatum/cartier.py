@@ -73,7 +73,10 @@ def frobenius_cofactor(g):
     """g^{p-1} for a polynomial g, as the exact quotient g^p // g.
 
     In characteristic p, Frobenius is additive: g^p = sum c_k^p x^{pk}
-    takes no product, only the p-th powers of the coefficients.
+    takes no product, only the p-th powers of the coefficients.  Its
+    callers are ``cartier_rational`` and ``deform.lift_datum``, whose
+    denominators are not split into linear factors; the candidate check
+    takes ``cartier_of_linear_powers`` instead.
     """
     d = g.descriptor
     p = d.p
@@ -97,21 +100,88 @@ def cartier_rational(f):
     return RationalFunction.from_poly(cartier_poly(f.numerator * frobenius_cofactor(g))) / g
 
 
+def _linear_power(descriptor, tau, e):
+    """(x - tau)^e, e >= 0, by the binomial theorem.
+
+    The coefficient of x^k is C(e, k) (-tau)^(e-k), with C(e, k) taken
+    mod p, so no polynomial product is formed; (x - tau)^p comes out as
+    x^p - tau^p.
+    """
+    d = descriptor
+    p = d.p
+    step = -tau
+    powers = [d.one()]
+    for _ in range(e):
+        powers.append(powers[-1] * step)
+    zero = d.zero()
+    coeffs = []
+    binom = 1
+    for k in range(e + 1):
+        c = binom % p
+        coeffs.append(powers[e - k] if c == 1 else powers[e - k] * d.element(c) if c else zero)
+        binom = binom * (e - k) // (k + 1)
+    return Poly(d, coeffs)
+
+
+def _nonzeros(poly):
+    return sum(1 for c in poly.coeffs if c)
+
+
+def _product_of_linear_powers(descriptor, taus, exponents):
+    """prod (x - tau_j)^{e_j} over the e_j > 0, monic (1 when there are none)."""
+    out = None
+    for tau, e in zip(taus, exponents):
+        if e > 0:
+            f = _linear_power(descriptor, tau, e)
+            if out is None:
+                out = f
+            else:
+                # a product skips the zero coefficients of its left factor
+                # only: x^e and (x - tau)^e with p | e are sparse
+                out = f * out if _nonzeros(f) < _nonzeros(out) else out * f
+    return Poly.constant(descriptor, 1) if out is None else out
+
+
 def powers_of_linear_factors(descriptor, taus, exponents):
     """(N, g), monic, with prod (x - tau_j)^{e_j} = N/g.
 
     N takes the factors with e_j > 0 and g those with e_j < 0, so N/g is
     in lowest terms when the tau_j are distinct.
     """
+    return (
+        _product_of_linear_powers(descriptor, taus, exponents),
+        _product_of_linear_powers(descriptor, taus, [-e for e in exponents]),
+    )
+
+
+def cartier_of_linear_powers(descriptor, taus, exponents):
+    """C(u dx)/dx for u = prod (x - tau_j)^{E_j}, E_j >= 0, with no division.
+
+    Write E_j = p q_j + r_j with 0 <= r_j < p.  Then u = H^p R with
+    H = prod (x - tau_j)^{q_j} and R = prod (x - tau_j)^{r_j}, and
+    C(H^p R dx) = H C(R dx), since C is p^{-1}-linear.  C(R dx)/dx reads
+    only the coefficients R_n with n = -1 mod p (``cartier_poly``), so the
+    factor of R with the largest r_j is multiplied in at those n only.
+    When every r_j is 0, R = 1 and the image is 0.
+    """
     d = descriptor
-    num = den = Poly.constant(d, 1)
-    for tau, e in zip(taus, exponents):
-        lin = Poly(d, [-tau, d.one()])
-        if e > 0:
-            num = num * lin**e
-        elif e < 0:
-            den = den * lin ** (-e)
-    return num, den
+    p = d.p
+    rest = sorted(((e % p, tau) for tau, e in zip(taus, exponents) if e % p), key=lambda f: f[0])
+    if sum(r for r, _ in rest) < p - 1:
+        return Poly(d, [])
+    last_r, last_tau = rest.pop()
+    a = _product_of_linear_powers(d, [tau for _, tau in rest], [r for r, _ in rest]).coeffs
+    b = _linear_power(d, last_tau, last_r).coeffs
+    zero = d.zero()
+    coeffs = []
+    for n in range(p - 1, len(a) + last_r, p):
+        acc = zero
+        for k in range(max(0, n - len(a) + 1), min(last_r, n) + 1):
+            acc = acc + a[n - k] * b[k]
+        coeffs.append(acc.frobenius_inverse())
+    image = Poly(d, coeffs)
+    h = _product_of_linear_powers(d, taus, [e // p for e in exponents])
+    return h * image if h.degree and image else image
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +258,8 @@ class KummerCover:
 
     def radicand(self, level):
         """prod (x - tau_j)^{b_j^{(level)}} as a polynomial."""
-        d = self.descriptor
-        out = Poly.constant(d, 1)
-        for tau, orbit in zip(self.taus, self.orbits):
-            lin = Poly(d, [-tau, d.one()])
-            out = out * lin ** orbit[level % self.s]
-        return out
+        exponents = [orbit[level % self.s] for orbit in self.orbits]
+        return powers_of_linear_factors(self.descriptor, self.taus, exponents)[0]
 
     def step_exponents(self, level):
         """e_j with z_level = z_{level-1}^p * prod (x-tau_j)^{e_j}."""

@@ -185,15 +185,22 @@ def check_candidate(sig, descriptor, tau_new):
     quotient is already in lowest terms with g monic: the tau_j are
     distinct, and Q only lowers the exponents at tau = 0 and 1.  So N
     and g are read off the exponents, with no gcd
-    (``cartier.powers_of_linear_factors``).  With u = N g^{p-1}
-    (``cartier.frobenius_cofactor`` gives g^{p-1}), C(N/g dx) = C(u)/g dx
-    for the polynomial Cartier operator C (``cartier.cartier_poly``), and
-    the level holds iff C(u) Q = lambda g for a constant lambda != 0.  As
+    (``cartier.powers_of_linear_factors``).  With u = N g^{p-1},
+    C(N/g dx) = C(u)/g dx for the polynomial Cartier operator C, and the
+    level holds iff C(u) Q = lambda g for a constant lambda != 0.  As
     Q and g are monic, that asks deg C(u) = deg g - 2 and
     lambda = lead C(u).
+
+    u is itself a product of linear powers, prod (x - tau_j)^{E_j} with
+    E_j = e_j when e_j > 0 and E_j = (p - 1)(-e_j) when e_j < 0, so C(u)
+    comes from the p-th-power split u = H^p R
+    (``cartier.cartier_of_linear_powers``), not from the exact quotient
+    g^p // g (``cartier.frobenius_cofactor``); g is built only for a
+    level that passes the degree test.
     """
     cover = build_cover(sig, descriptor, tau_new)
     d = descriptor
+    p = d.p
     x = Poly.x(d)
     q = x * (x - Poly.constant(d, 1))
     s = cover.s
@@ -201,12 +208,14 @@ def check_candidate(sig, descriptor, tau_new):
     for i in range(s):
         # build_cover puts 0 and 1, the roots of Q, first
         es = [e - (j < 2) for j, e in enumerate(cover.step_exponents((i + 1) % s))]
-        num, den = cartier.powers_of_linear_factors(d, cover.taus, es)
-        image = cartier.cartier_poly(num * cartier.frobenius_cofactor(den))
-        if image.is_zero() or image.degree != den.degree - 2:
+        image = cartier.cartier_of_linear_powers(
+            d, cover.taus, [e if e > 0 else (p - 1) * -e for e in es]
+        )
+        if image.is_zero() or image.degree != -sum(e for e in es if e < 0) - 2:
             return None
         lam = image.lead
-        if image * q != den * lam:
+        _, g = cartier.powers_of_linear_factors(d, cover.taus, es)
+        if image * q != g * lam:
             return None
         lams.append(lam)
     return lams

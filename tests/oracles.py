@@ -19,7 +19,8 @@ package's path in the unit suites:
 - ``cartier_rational_by_powering`` (g^(p-1) by repeated squaring) with
   ``cartier.cartier_rational`` (g^p // g);
 - ``check_candidate_by_rationals`` (normalized rational functions) with
-  ``search.check_candidate`` (the identity C(u) Q = lambda g);
+  ``search.check_candidate`` (the identity C(u) Q = lambda g, C(u) from
+  the p-th-power split of u);
 - ``search_field_by_full_scan`` (the candidate check on every tuple)
   with ``search.search_field`` (one check per Frobenius orbit, the
   images' lambda by Frobenius);

@@ -20,6 +20,8 @@ from defdatum.cartier import (
     FormCombination,
     KummerCover,
     cartier_combination,
+    cartier_of_linear_powers,
+    cartier_poly,
     cartier_rational,
     expand_combination,
     frobenius_cofactor,
@@ -30,6 +32,7 @@ from defdatum.cartier import (
     epsilon_form,
     ord_single_form,
     phi_basis,
+    powers_of_linear_factors,
 )
 
 F3 = FieldDescriptor.get(3, 1)
@@ -103,6 +106,111 @@ def test_cartier_rational_matches_the_powering_oracle_above_the_table_cap():
     assert not cartier_rational(f).is_zero()
 
 
+# F_4, F_9, F_25, F_27, F_49, F_11, F_13 and F_169
+SPLIT_FIELDS = [
+    FieldDescriptor.get(p, r)
+    for p, r in ((2, 2), (3, 2), (5, 2), (3, 3), (7, 2), (11, 1), (13, 1), (13, 2))
+]
+F13 = FieldDescriptor.get(13, 1)
+
+
+def linear(d, tau):
+    return Poly(d, [-tau, d.one()])
+
+
+def product_multiplied_out(d, taus, exponents):
+    u = Poly.constant(d, 1)
+    for tau, e in zip(taus, exponents):
+        u = u * linear(d, tau) ** e
+    return u
+
+
+@st.composite
+def linear_powers(draw, signed=False):
+    """A field, one to three points (0 among them when drawn) and their
+    exponents: 0..3p with multiples of p and p - 1 favoured, or -3..p."""
+    d = draw(st.sampled_from(SPLIT_FIELDS))
+    p = d.p
+    taus = draw(st.lists(st.sampled_from(list(d.elements())), min_size=1, max_size=3))
+    if signed:
+        exponent = st.integers(-3, p)
+    else:
+        exponent = st.one_of(
+            st.sampled_from([0, p - 1, p, 2 * p - 1, 2 * p, 3 * p]), st.integers(0, 3 * p)
+        )
+    exponents = draw(st.lists(exponent, min_size=len(taus), max_size=len(taus)))
+    return d, taus, exponents
+
+
+@settings(max_examples=120, deadline=None)
+@given(linear_powers())
+@example((F13, [F13.zero(), F13.element(5)], [12, 25]))
+@example((SPLIT_FIELDS[-1], [SPLIT_FIELDS[-1].element([3, 1])], [38]))
+def test_cartier_of_linear_powers_matches_the_full_product(case):
+    d, taus, exponents = case
+    expected = cartier_poly(product_multiplied_out(d, taus, exponents))
+    assert cartier_of_linear_powers(d, taus, exponents) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_powers(signed=True))
+def test_cartier_of_linear_powers_matches_the_cofactor_path(case):
+    # the candidate check's u = N g^(p-1), with g^(p-1) as g^p // g
+    d, taus, es = case
+    p = d.p
+    num, den = powers_of_linear_factors(d, taus, es)
+    split = [e if e > 0 else (p - 1) * -e for e in es]
+    assert cartier_of_linear_powers(d, taus, split) == cartier_poly(num * frobenius_cofactor(den))
+
+
+@pytest.mark.parametrize("d", SPLIT_FIELDS, ids=repr)
+def test_cartier_of_linear_powers_is_zero_when_every_remainder_is(d):
+    # u = H^p, and C(H^p dx) = H C(dx) = 0
+    p = d.p
+    taus = [d.zero(), d.one(), d.generator() + d.one()]
+    exponents = [p, 2 * p, 3 * p]
+    assert cartier_poly(product_multiplied_out(d, taus, exponents)).is_zero()
+    assert cartier_of_linear_powers(d, taus, exponents).is_zero()
+    assert cartier_of_linear_powers(d, taus, [0, 0, 0]).is_zero()
+
+
+def test_cartier_of_linear_powers_above_the_table_cap():
+    d = FieldDescriptor.get(2, 17)
+    assert d.order > _TABLE_CAP
+    taus = [d.zero(), d.element([1, 1, 0, 1]), d.element([0, 1, 1])]
+    for exponents in ([3, 4, 5], [1, 0, 6], [2, 2, 2]):
+        expected = cartier_poly(product_multiplied_out(d, taus, exponents))
+        assert cartier_of_linear_powers(d, taus, exponents) == expected
+    assert not cartier_of_linear_powers(d, taus, [3, 4, 5]).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(SPLIT_FIELDS).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.sampled_from(list(d.elements())),
+            st.integers(0, 3 * d.p),
+        )
+    )
+)
+def test_linear_power_matches_repeated_multiplication(case):
+    d, tau, e = case
+    expected = Poly.constant(d, 1)
+    for _ in range(e):
+        expected = expected * linear(d, tau)
+    assert cartier._linear_power(d, tau, e) == expected
+
+
+@pytest.mark.parametrize("d", SPLIT_FIELDS, ids=repr)
+def test_linear_power_at_p_is_frobenius(d):
+    # (x - tau)^p = x^p - tau^p: every middle binomial vanishes mod p
+    p = d.p
+    for tau in (d.zero(), d.one(), d.generator()):
+        expected = Poly(d, [-tau.frobenius()] + [d.zero()] * (p - 1) + [d.one()])
+        assert cartier._linear_power(d, tau, p) == expected
+
+
 def test_cartier_fixes_dlog_and_kills_dx():
     f = rat(F3, [1], [0, 1])  # dx/x
     assert cartier_rational(f) == f
@@ -174,6 +282,9 @@ def test_cover_local_data():
     rad = cover.radicand(0)
     assert rad.degree == 4
     assert rad.multiplicity_at(F3.element(0)) == 3
+    for level in range(cover.s):
+        exponents = [orbit[level] for orbit in cover.orbits]
+        assert cover.radicand(level) == product_multiplied_out(F3, cover.taus, exponents)
 
 
 def test_step_factor_recursion():

@@ -472,6 +472,11 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
             id="search-frobenius-orbit",
         ),
         pytest.param(
+            "search-p13-m3-points4-r1",
+            "search --p 13 --m 3 --points 4 --r 1",
+            id="search-p13",
+        ),
+        pytest.param(
             "rigidity-p5-m2-points4-r1", "rigidity --p 5 --m 2 --points 4 --r 1", id="rigidity"
         ),
         pytest.param(
@@ -513,8 +518,10 @@ def test_cohomology_document_matches_golden(runner, golden, args):
     # per direction c e_k, the enumerate documents by canonicalizing and
     # validating every candidate of the level-0 construction, the F_49
     # search document (a Frobenius orbit of two data) by the candidate
-    # check on every tuple rather than one per orbit; "versions"
-    # holds the Python version, so it is taken from this run
+    # check on every tuple rather than one per orbit, the p = 13 search
+    # document by the candidate check with g^(p-1) as the exact quotient
+    # g^p // g rather than by the p-th-power split; "versions" holds the
+    # Python version, so it is taken from this run
     golden = DATA / f"{golden}.json"
     res = invoke(runner, *args.split())
     assert res.exit_code == 0

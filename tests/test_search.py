@@ -112,9 +112,10 @@ def outside_0_1(descriptor):
 PM = [(p, m) for p in (3, 5, 7) for m in (2, 3, 4) if m % p]
 
 
-@pytest.mark.parametrize("p,m", PM)
+@pytest.mark.parametrize("p,m", PM + [(p, m) for p in (11, 13) for m in (2, 3, 4)])
 def test_check_candidate_matches_the_oracle_on_every_tau(p, m):
-    # every one-new-point signature, every tau of every F_q with q <= 49
+    # every one-new-point signature, every tau of every F_q with q <= 49;
+    # at p = 11 and 13 (F_p only) the p-th-power split of u is deepest
     sigs = [sig for sig in sigdata.enumerate_signatures(p, m, 4) if len(sig.new_indices()) == 1]
     assert sigs
     for descriptor in fields_up_to(p, 49):

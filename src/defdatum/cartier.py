@@ -184,6 +184,66 @@ def cartier_of_linear_powers(descriptor, taus, exponents):
     return h * image if h.degree and image else image
 
 
+def level_constant(cover, level):
+    """kappa with C((1/Q) z_{level+1} dx) = kappa (1/Q) z_level dx, or 0.
+
+    Q = x(x - 1), and the cover's first two branch points are 0 and 1,
+    the roots of Q (``search.build_cover``).  Since z_{level+1} =
+    z_level^p prod (x - tau_j)^{e_j}, the image is C(N/g dx) z_level
+    with N/g = (1/Q) prod (x - tau_j)^{e_j}.  That quotient is already
+    in lowest terms with g monic: the tau_j are distinct, and Q only
+    lowers the exponents at 0 and 1.  So N and g are read off the
+    exponents, with no gcd (``powers_of_linear_factors``).  With
+    u = N g^{p-1}, C(N/g dx) = C(u)/g dx, and the image is kappa/Q dx
+    iff C(u) Q = kappa g.  As Q and g are monic, a nonzero kappa needs
+    deg C(u) = deg g - 2 and kappa = lead C(u).
+
+    u is itself a product of linear powers, prod (x - tau_j)^{E_j} with
+    E_j = e_j when e_j > 0 and E_j = (p - 1)(-e_j) when e_j < 0, so C(u)
+    comes from the p-th-power split u = H^p R
+    (``cartier_of_linear_powers``), not from the exact quotient
+    g^p // g (``frobenius_cofactor``); g is built only for an image
+    that passes the degree test.
+
+    Returns 0 whenever the image is not a nonzero constant multiple of
+    (1/Q) z_level dx, a zero image or not.  That is exact for the
+    fixedness test (``is_fixed_by_constants``): for a form sum_i c_i
+    (1/Q) z_i dx with constant c_i, kappa_i = 0 forces c_i = 0, then
+    c_{i-1} = F^{-1}(c_i) kappa_{i-1} = 0 and so on around the cycle of
+    levels, so the only fixed form is 0, as it is when the image at
+    level i is no constant multiple at all.
+    """
+    d = cover.descriptor
+    p = d.p
+    es = [e - (j < 2) for j, e in enumerate(cover.step_exponents((level + 1) % cover.s))]
+    image = cartier_of_linear_powers(d, cover.taus, [e if e > 0 else (p - 1) * -e for e in es])
+    if image.is_zero() or image.degree != -sum(e for e in es if e < 0) - 2:
+        return d.zero()
+    kappa = image.lead
+    _, g = powers_of_linear_factors(d, cover.taus, es)
+    q = Poly(d, [d.zero(), -d.one(), d.one()])
+    return kappa if image * q == g * kappa else d.zero()
+
+
+def is_fixed_by_constants(coeffs, kappas):
+    """True iff sum_i c_i (1/Q) z_i dx is Cartier-fixed, for constant c_i.
+
+    ``kappas`` holds the ``level_constant`` of each level, over the
+    field of the c_i.  C is p^{-1}-linear, so it sends c_{i+1} (1/Q)
+    z_{i+1} dx to c_{i+1}^{1/p} kappa_i (1/Q) z_i dx, and only level
+    i+1 lands in level i.  So the form is fixed iff c_i =
+    F^{-1}(c_{i+1}) kappa_i at every level i.  Where the image is no
+    constant multiple, ``level_constant`` gives kappa_i = 0, and its
+    docstring has why that is exact.  ``is_cartier_fixed`` is the
+    general test, and the oracle of this one.
+    """
+    s = len(coeffs)
+    return all(
+        coeffs[i] == coeffs[(i + 1) % s].frobenius_inverse() * kappa
+        for i, kappa in enumerate(kappas)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Kummer covers and eigenforms
 
@@ -324,7 +384,12 @@ def cartier_combination(combo):
 
 
 def is_cartier_fixed(combo):
-    """True iff the Cartier operator returns the combination exactly."""
+    """True iff the Cartier operator returns the combination exactly.
+
+    The general test, for any rational coefficients, each level through
+    ``cartier_rational``; ``search.verify_datum`` tests its constant
+    coefficients by ``is_fixed_by_constants``, and this is the oracle.
+    """
     return cartier_combination(combo) == combo
 
 
@@ -353,24 +418,26 @@ def omega_combination(datum):
     return FormCombination(datum.cover, tuple(hs))
 
 
-def phi_basis(datum):
-    """The F_p-rational basis phi_l = sum_i chi_{i+l}(alpha) omega_i.
+def phi_coefficients(datum):
+    """The rows of the F_p-rational basis phi_l = sum_i chi_{i+l}(alpha) omega_i.
 
-    chi_0(alpha) is a primitive m-th root of unity gamma in F_{p^s}
-    (embedded into the datum's field) and chi_{i+l}(alpha) =
+    Returns (rows, field): row l holds the constants chi_{i+l}(alpha)
+    eps_i, so that phi_l = sum_i row_l[i] (1/Q) z_i dx over ``field``,
+    F_{p^{lcm(r, s)}}.  chi_0(alpha) is a primitive m-th root of unity
+    gamma in F_{p^s} (embedded into that field) and chi_{i+l}(alpha) =
     gamma^{p^{i+l}}, for the least power gamma = gamma0^k (k prime to
     m, in increasing k) whose conjugates are F_p-independent.  When none
     has independent conjugates, the least element of F_{p^s} that does
     (a normal-basis generator, in serialization order) takes its place;
     the fallback is scanned lazily, so it costs nothing when a root of
-    unity works.
+    unity works.  ArithmeticError when no scalar qualifies.
     """
-    cover = datum.cover
-    s = cover.s
-    p = cover.descriptor.p
+    s = datum.signature.s
+    p = datum.descriptor.p
+    m = datum.signature.m
     roots_field = datum.field_with_roots()
-    gamma0 = _primitive_root_of_unity(roots_field, cover.m)
-    roots = [gamma0**k for k in range(1, cover.m) if gcd(k, cover.m) == 1]
+    gamma0 = _primitive_root_of_unity(roots_field, m)
+    roots = [gamma0**k for k in range(1, m) if gcd(k, m) == 1]
     # the fixed space only needs c in F_{p^s} with independent conjugates
     fallback = (
         e
@@ -381,15 +448,22 @@ def phi_basis(datum):
         conjugates = [gamma ** (p**l) for l in range(s)]
         if rank_mod_p([list(e.coeffs) for e in conjugates], p) != s:
             continue
-        omegas = omega_combination(datum.embedded(gamma.descriptor))
-        out = []
-        for l in range(s):
-            hs = tuple(
-                omegas.hs[i] * conjugates[(i + l) % s] for i in range(s)
-            )
-            out.append(FormCombination(omegas.cover, hs))
-        return out
+        eps = [e.embed(roots_field) for e in datum.epsilon]
+        return [[eps[i] * conjugates[(i + l) % s] for i in range(s)] for l in range(s)], roots_field
     raise ArithmeticError("no scalar yields an F_p-independent fixed basis")
+
+
+def phi_basis(datum):
+    """The forms phi_l of ``phi_coefficients``, as ``FormCombination``s."""
+    rows, field = phi_coefficients(datum)
+    embedded = datum.embedded(field)
+    q = embedded.q_poly
+    return [
+        FormCombination(
+            embedded.cover, tuple(RationalFunction(Poly.constant(field, c), q) for c in row)
+        )
+        for row in rows
+    ]
 
 
 def _primitive_root_of_unity(descriptor, m):

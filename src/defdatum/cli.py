@@ -189,6 +189,8 @@ def verify(datum_file, config_path, out_path):
         with open(datum_file) as fh:
             obj = json.load(fh)
         data = obj if isinstance(obj, list) else [obj]
+        if not data:
+            raise ValueError("an empty list holds no datum")
         datums = [search.DeformationDatum.from_json(item) for item in data]
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise click.UsageError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from . import cartier, sigdata
@@ -35,8 +36,9 @@ class DeformationDatum:
     epsilon: tuple  # one unit per level
     lam: tuple  # the Cartier constants, one per level
 
-    @property
+    @cached_property
     def cover(self):
+        """The Kummer cover, built once per datum (``embedded`` makes a new one)."""
         return build_cover(self.signature, self.descriptor, self.tau)
 
     @property
@@ -177,45 +179,16 @@ def check_candidate(sig, descriptor, tau_new):
     """The Cartier constants of a branch-point tuple, or None.
 
     Level i of the eigenvalue condition asks that the Cartier image of
-    (1/Q) z_{i+1} dx, Q = x(x - 1), is a constant multiple lambda_i of
-    (1/Q) z_i dx; the lambda_i are returned when every level holds.
-
-    Since z_{i+1} = z_i^p prod (x - tau_j)^{e_j}, the image is
-    C(N/g dx) z_i with N/g = (1/Q) prod (x - tau_j)^{e_j}.  That
-    quotient is already in lowest terms with g monic: the tau_j are
-    distinct, and Q only lowers the exponents at tau = 0 and 1.  So N
-    and g are read off the exponents, with no gcd
-    (``cartier.powers_of_linear_factors``).  With u = N g^{p-1},
-    C(N/g dx) = C(u)/g dx for the polynomial Cartier operator C, and the
-    level holds iff C(u) Q = lambda g for a constant lambda != 0.  As
-    Q and g are monic, that asks deg C(u) = deg g - 2 and
-    lambda = lead C(u).
-
-    u is itself a product of linear powers, prod (x - tau_j)^{E_j} with
-    E_j = e_j when e_j > 0 and E_j = (p - 1)(-e_j) when e_j < 0, so C(u)
-    comes from the p-th-power split u = H^p R
-    (``cartier.cartier_of_linear_powers``), not from the exact quotient
-    g^p // g (``cartier.frobenius_cofactor``); g is built only for a
-    level that passes the degree test.
+    (1/Q) z_{i+1} dx, Q = x(x - 1), is a constant multiple lambda_i != 0
+    of (1/Q) z_i dx (``cartier.level_constant``, whose docstring has the
+    test by the p-th-power split); the lambda_i are returned when every
+    level holds, and the scan stops at the first level that fails.
     """
     cover = build_cover(sig, descriptor, tau_new)
-    d = descriptor
-    p = d.p
-    x = Poly.x(d)
-    q = x * (x - Poly.constant(d, 1))
-    s = cover.s
     lams = []
-    for i in range(s):
-        # build_cover puts 0 and 1, the roots of Q, first
-        es = [e - (j < 2) for j, e in enumerate(cover.step_exponents((i + 1) % s))]
-        image = cartier.cartier_of_linear_powers(
-            d, cover.taus, [e if e > 0 else (p - 1) * -e for e in es]
-        )
-        if image.is_zero() or image.degree != -sum(e for e in es if e < 0) - 2:
-            return None
-        lam = image.lead
-        _, g = cartier.powers_of_linear_factors(d, cover.taus, es)
-        if image * q != g * lam:
+    for i in range(cover.s):
+        lam = cartier.level_constant(cover, i)
+        if not lam:
             return None
         lams.append(lam)
     return lams
@@ -318,6 +291,13 @@ def verify_datum(datum):
     of the eigenforms at every critical point against nu_j m_j + a_j - 1
     (with -1 at wild points), the isotypic cohomology, and the
     F_p-rational fixed basis.
+
+    omega and every phi_l are sums of c_i (1/Q) z_i dx with constant
+    c_i, so both Cartier checks read one ``cartier.level_constant``
+    kappa_i per level, computed once, and test c_i = F^{-1}(c_{i+1})
+    kappa_i (``cartier.is_fixed_by_constants``); the phi rows live in
+    F_{p^{lcm(r, s)}}, so kappa is embedded there first, as C commutes
+    with the embedding.  ``cartier.is_cartier_fixed`` is the oracle.
     """
     sig = datum.signature
     checks = {}
@@ -332,8 +312,8 @@ def verify_datum(datum):
         == datum.epsilon[(i + 1) % s].frobenius_inverse() * datum.lam[i]
         for i in range(s)
     )
-    omega = cartier.omega_combination(datum)
-    checks["cartier_fixed"] = cartier.is_cartier_fixed(omega)
+    kappas = [cartier.level_constant(cover, i) for i in range(s)]
+    checks["cartier_fixed"] = cartier.is_fixed_by_constants(datum.epsilon, kappas)
 
     b0 = sig.b0_indices()
     new = sig.new_indices()
@@ -362,9 +342,10 @@ def verify_datum(datum):
         pair == (0, 0) for pair in inv["isotypic_cohomology"]
     )
     try:
-        phis = cartier.phi_basis(datum)
-        checks["phi_fixed"] = all(cartier.is_cartier_fixed(ph) for ph in phis)
-        checks["phi_count"] = len(phis) == s
+        rows, field = cartier.phi_coefficients(datum)
+        kappas = [k.embed(field) for k in kappas]
+        checks["phi_fixed"] = all(cartier.is_fixed_by_constants(row, kappas) for row in rows)
+        checks["phi_count"] = len(rows) == s
     except ArithmeticError:
         checks["phi_fixed"] = False
         checks["phi_count"] = False

@@ -1,5 +1,6 @@
 """The Cartier operator, Kummer covers, eigenforms and local expansions."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
@@ -26,12 +27,15 @@ from defdatum.cartier import (
     expand_combination,
     frobenius_cofactor,
     is_cartier_fixed,
+    is_fixed_by_constants,
+    level_constant,
     omega_combination,
     omega_form,
     ord_at_critical,
     epsilon_form,
     ord_single_form,
     phi_basis,
+    phi_coefficients,
     powers_of_linear_factors,
 )
 
@@ -359,6 +363,81 @@ def test_phi_basis_two_levels():
     phis = phi_basis(two_level_datum())
     assert len(phis) == 2
     assert all(is_cartier_fixed(ph) for ph in phis)
+
+
+def test_phi_basis_is_built_from_phi_coefficients():
+    for datum in (golden_datum(), two_level_datum()):
+        rows, field = phi_coefficients(datum)
+        assert field == datum.field_with_roots()
+        phis = phi_basis(datum)
+        assert len(rows) == len(phis) == datum.signature.s
+        q = datum.embedded(field).q_poly
+        for row, phi in zip(rows, phis):
+            assert phi.hs == tuple(RationalFunction(Poly.constant(field, c), q) for c in row)
+
+
+def level_image_by_cartier_rational(cover, level):
+    """C((1/Q) z_{level+1} dx) Q / z_level dx, a normalized rational function."""
+    d = cover.descriptor
+    q = Poly.x(d) * (Poly.x(d) - Poly.constant(d, 1))
+    inv_q = RationalFunction(Poly.constant(d, 1), q)
+    return cartier_rational(inv_q * cover.step_factor((level + 1) % cover.s)) * q
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_level_constant_matches_cartier_rational_on_every_tau(p):
+    # m in {2, 3, 4}, every one-new-point signature, every tau of F_p,
+    # every level: kappa is the image times Q when that is a nonzero
+    # constant, and 0 for a zero image or one that is no constant
+    d = FieldDescriptor.get(p, 1)
+    outcomes = set()
+    for m in (2, 3, 4):
+        sigs = [sig for sig in sigdata.enumerate_signatures(p, m, 4) if len(sig.new_indices()) == 1]
+        assert sigs
+        for sig in sigs:
+            for tau in d.elements():
+                if tau.is_zero() or tau == d.one():
+                    continue
+                cover = search.build_cover(sig, d, (tau,))
+                for level in range(cover.s):
+                    image = level_image_by_cartier_rational(cover, level)
+                    if image.is_zero():
+                        expected, outcome = d.zero(), "zero"
+                    elif image.numerator.degree == 0 and image.denominator.degree == 0:
+                        expected, outcome = image.numerator.coeffs[0], "constant"
+                    else:
+                        expected, outcome = d.zero(), "other"
+                    assert level_constant(cover, level) == expected
+                    outcomes.add(outcome)
+    assert {"other", "constant"} <= outcomes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fixedness_by_constants_matches_is_cartier_fixed_on_random_rows(data):
+    # rows sum_i c_i (1/Q) z_i dx over the two-level datum's cover, over an
+    # extension of it, or with its new point moved (some level has no
+    # constant there), entries drawn with zeros and F_p-multiples of eps
+    datum = two_level_datum()
+    field = data.draw(st.sampled_from([datum.descriptor, F9, FieldDescriptor.get(3, 4)]))
+    big = datum.embedded(field)
+    if field != datum.descriptor and data.draw(st.booleans()):
+        moved = [t for t in field.elements() if t not in (field.zero(), field.one(), *big.tau)]
+        big = dataclasses.replace(big, tau=(data.draw(st.sampled_from(moved)),))
+    elements = list(field.elements())
+    entry = st.one_of(
+        st.just(field.zero()),
+        st.sampled_from(elements),
+        st.sampled_from(range(big.signature.s)).flatmap(
+            lambda i: st.sampled_from([big.epsilon[i] * c for c in (1, 2)])
+        ),
+    )
+    row = data.draw(st.lists(entry, min_size=big.signature.s, max_size=big.signature.s))
+    kappas = [level_constant(big.cover, i) for i in range(big.signature.s)]
+    combo = FormCombination(
+        big.cover, tuple(RationalFunction(Poly.constant(field, c), big.q_poly) for c in row)
+    )
+    assert is_fixed_by_constants(row, kappas) == is_cartier_fixed(combo)
 
 
 def trivial_cover(descriptor, taus):

@@ -281,6 +281,8 @@ def p3_points_with(j, **fields):
         json.dumps({"schema": "other"}),
         json.dumps([{"schema": "defdatum/1", "signature": 3}]),
         json.dumps(7),
+        # an empty list passed as a document that verified nothing
+        "[]",
         "{not json",
         # m < 0 made ord_m(p) loop forever
         json.dumps(
@@ -412,6 +414,25 @@ def test_well_formed_datum_that_fails_verification_exits_1(runner, tmp_path):
     assert json.loads(res.output)["passed"] is False
     path.write_text(json.dumps(P5_DATUM))
     assert invoke(runner, "verify", str(path)).exit_code == 0
+
+
+def test_verify_document_matches_golden(runner, tmp_path, monkeypatch):
+    # Written by `defdatum verify data.json` at commit a9dc6ab, before the
+    # Cartier checks read one constant per level.  Its data: (3,4,4,3) and
+    # (2,7,3,2) data, whose phi rows live in F_{3^6} and F_{2^6}; the
+    # (3,8,4,2), (7,4,4,2) and (2,5,3,2) data (s = 2, 2 and 4); and three
+    # altered data, which fail: lambda scaled by 2 (epsilon_relations only),
+    # eps_0 alone scaled by 2 (cartier_fixed and phi_fixed too), and a
+    # moved tau (cartier_fixed and phi_fixed).  Exit 1.  "versions" holds
+    # the Python version, so it is taken from this run.
+    expected = json.loads((DATA / "verify-extension-fields.json").read_text())
+    data = [entry["datum"] for entry in expected["results"]]
+    (tmp_path / "data.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    res = invoke(runner, "verify", "data.json")
+    assert res.exit_code == 1
+    expected["versions"] = json.loads(res.output)["versions"]
+    assert res.output == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_cohomology_document_shape(runner):

@@ -1,14 +1,16 @@
 """Branch-point search, eigenform constants and the verification battery."""
 
+import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import check_candidate_by_rationals, search_field_by_full_scan
 
-from defdatum import search, sigdata
+from defdatum import cartier, search, sigdata
 from defdatum.algebra import FieldDescriptor
 from defdatum.search import (
     DeformationDatum,
@@ -361,3 +363,97 @@ def test_search_rejects_invalid_signature():
     )
     with pytest.raises(ValueError):
         search_field(bad, F3)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def stored_data():
+    """Every datum of the search, rigidity and verify goldens, once each."""
+    docs = {}
+    for path in sorted(DATA.glob("search-*.json")):
+        for block in json.loads(path.read_text())["results"]:
+            for entry in block["data"]:
+                doc = {k: v for k, v in entry.items() if k != "verification"}
+                docs.setdefault(json.dumps(doc, sort_keys=True), doc)
+    for pattern in ("rigidity-*.json", "verify-*.json"):
+        for path in sorted(DATA.glob(pattern)):
+            for entry in json.loads(path.read_text())["results"]:
+                docs.setdefault(json.dumps(entry["datum"], sort_keys=True), entry["datum"])
+    return [DeformationDatum.from_json(doc) for doc in docs.values()]
+
+
+STORED = stored_data()
+
+
+def assert_verdicts_match_is_cartier_fixed(datum):
+    """verify_datum's two Cartier verdicts against ``is_cartier_fixed``."""
+    checks = verify_datum(datum)
+    assert checks["cartier_fixed"] == cartier.is_cartier_fixed(cartier.omega_combination(datum))
+    phis = cartier.phi_basis(datum)
+    assert checks["phi_fixed"] == all(cartier.is_cartier_fixed(ph) for ph in phis)
+    return checks
+
+
+def test_stored_data_cover_extension_fields_and_failures():
+    # phi rows live in F_{p^lcm(r, s)}: some stored data need kappa embedded
+    assert len(STORED) >= 25
+    assert any(dt.field_with_roots() != dt.descriptor for dt in STORED)
+    assert any(dt.signature.s >= 3 for dt in STORED)
+    failing = [dt for dt in STORED if not verify_datum(dt)["cartier_fixed"]]
+    assert failing
+
+
+@pytest.mark.parametrize("index", range(len(STORED)))
+def test_cartier_verdicts_match_is_cartier_fixed_on_stored_data(index):
+    assert_verdicts_match_is_cartier_fixed(STORED[index])
+
+
+def altered(datum, kind, c, t):
+    """The datum with lambda scaled by c ("scale_lambda"), its first new
+    point moved to t ("move_tau"), or eps_kind alone scaled by c (an int)."""
+    if kind == "scale_lambda":
+        return dataclasses.replace(datum, lam=tuple(l * c for l in datum.lam))
+    if kind == "move_tau":
+        return dataclasses.replace(datum, tau=(t,) + datum.tau[1:])
+    eps = list(datum.epsilon)
+    eps[kind] = eps[kind] * c
+    return dataclasses.replace(datum, epsilon=tuple(eps))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_cartier_verdicts_match_is_cartier_fixed_on_altered_data(data):
+    # scaled lambda keeps both verdicts, a scaled eps_i breaks omega and
+    # phi, and a moved tau leaves some level without constant
+    datum = data.draw(st.sampled_from(STORED))
+    d = datum.descriptor
+    kinds = ["scale_lambda", *range(datum.signature.s)]
+    free = [t for t in outside_0_1(d) if t not in datum.tau]
+    if datum.tau and free:
+        kinds.append("move_tau")
+    kind = data.draw(st.sampled_from(kinds))
+    c = data.draw(st.sampled_from([e for e in d.elements() if not e.is_zero()]))
+    t = data.draw(st.sampled_from(free)) if kind == "move_tau" else None
+    assert_verdicts_match_is_cartier_fixed(altered(datum, kind, c, t))
+
+
+def test_moved_tau_leaves_a_level_without_constant():
+    datum = search_field(sig_of(5, 2, (1, 0, 0), new=(1,)), F5)[0]
+    moved = altered(datum, "move_tau", None, F5.element(3))
+    assert not cartier.level_constant(moved.cover, 0)
+    checks = assert_verdicts_match_is_cartier_fixed(moved)
+    assert not checks["cartier_fixed"] and not checks["phi_fixed"]
+
+
+def test_the_cover_is_built_once_per_datum(monkeypatch):
+    datum = DeformationDatum.from_json(STORED[0].to_json())
+    calls = []
+    real = search.build_cover
+    monkeypatch.setattr(search, "build_cover", lambda *a: calls.append(a) or real(*a))
+    assert datum.cover is datum.cover
+    assert verify_datum(datum)["passed"]
+    assert len(calls) == 1
+    big = datum.embedded(FieldDescriptor.get(datum.descriptor.p, 2 * datum.descriptor.r))
+    assert big.cover is not datum.cover
+    assert big.cover == datum.cover.embed(big.descriptor)

@@ -75,8 +75,9 @@ def frobenius_cofactor(g):
     In characteristic p, Frobenius is additive: g^p = sum c_k^p x^{pk}
     takes no product, only the p-th powers of the coefficients.  Its
     callers are ``cartier_rational`` and ``deform.lift_datum``, whose
-    denominators are not split into linear factors; the candidate check
-    takes ``cartier_of_linear_powers`` instead.
+    denominators are not split into linear factors; ``level_constant``
+    splits u = N g^{p-1} into linear powers and forms neither g nor
+    g^{p-1}.
     """
     d = g.descriptor
     p = d.p
@@ -154,19 +155,16 @@ def powers_of_linear_factors(descriptor, taus, exponents):
     )
 
 
-def cartier_of_linear_powers(descriptor, taus, exponents):
-    """C(u dx)/dx for u = prod (x - tau_j)^{E_j}, E_j >= 0, with no division.
+def cartier_of_small_powers(descriptor, taus, exponents):
+    """C(R dx)/dx for R = prod (x - tau_j)^{r_j}, 0 <= r_j < p.
 
-    Write E_j = p q_j + r_j with 0 <= r_j < p.  Then u = H^p R with
-    H = prod (x - tau_j)^{q_j} and R = prod (x - tau_j)^{r_j}, and
-    C(H^p R dx) = H C(R dx), since C is p^{-1}-linear.  C(R dx)/dx reads
-    only the coefficients R_n with n = -1 mod p (``cartier_poly``), so the
-    factor of R with the largest r_j is multiplied in at those n only.
-    When every r_j is 0, R = 1 and the image is 0.
+    C(R dx)/dx reads only the coefficients R_n with n = -1 mod p
+    (``cartier_poly``), so the factor with the largest r_j is multiplied
+    in at those n only.  When deg R < p - 1 the image is 0.
     """
     d = descriptor
     p = d.p
-    rest = sorted(((e % p, tau) for tau, e in zip(taus, exponents) if e % p), key=lambda f: f[0])
+    rest = sorted(((r, tau) for tau, r in zip(taus, exponents) if r), key=lambda f: f[0])
     if sum(r for r, _ in rest) < p - 1:
         return Poly(d, [])
     last_r, last_tau = rest.pop()
@@ -179,9 +177,7 @@ def cartier_of_linear_powers(descriptor, taus, exponents):
         for k in range(max(0, n - len(a) + 1), min(last_r, n) + 1):
             acc = acc + a[n - k] * b[k]
         coeffs.append(acc.frobenius_inverse())
-    image = Poly(d, coeffs)
-    h = _product_of_linear_powers(d, taus, [e // p for e in exponents])
-    return h * image if h.degree and image else image
+    return Poly(d, coeffs)
 
 
 def level_constant(cover, level):
@@ -189,21 +185,27 @@ def level_constant(cover, level):
 
     Q = x(x - 1), and the cover's first two branch points are 0 and 1,
     the roots of Q (``search.build_cover``).  Since z_{level+1} =
-    z_level^p prod (x - tau_j)^{e_j}, the image is C(N/g dx) z_level
-    with N/g = (1/Q) prod (x - tau_j)^{e_j}.  That quotient is already
-    in lowest terms with g monic: the tau_j are distinct, and Q only
-    lowers the exponents at 0 and 1.  So N and g are read off the
-    exponents, with no gcd (``powers_of_linear_factors``).  With
-    u = N g^{p-1}, C(N/g dx) = C(u)/g dx, and the image is kappa/Q dx
-    iff C(u) Q = kappa g.  As Q and g are monic, a nonzero kappa needs
-    deg C(u) = deg g - 2 and kappa = lead C(u).
+    z_level^p prod (x - tau_j)^{e'_j}, the image is C(N/g dx) z_level
+    with N/g = (1/Q) prod (x - tau_j)^{e'_j} = prod (x - tau_j)^{e_j},
+    where e_j = e'_j - 1 at 0 and 1 and e_j = e'_j elsewhere.  That is
+    in lowest terms, as the tau_j are distinct: with k_j = -e_j for the
+    e_j < 0, g = prod (x - tau_j)^{k_j}.  C(N/g dx) = C(u)/g dx for
+    u = N g^{p-1} = prod (x - tau_j)^{E_j}, with E_j = e_j when e_j > 0
+    and E_j = (p - 1) k_j = p (k_j - 1) + (p - k_j) when e_j < 0.  So
+    the image is kappa/Q dx iff C(u) Q = kappa g.
 
-    u is itself a product of linear powers, prod (x - tau_j)^{E_j} with
-    E_j = e_j when e_j > 0 and E_j = (p - 1)(-e_j) when e_j < 0, so C(u)
-    comes from the p-th-power split u = H^p R
-    (``cartier_of_linear_powers``), not from the exact quotient
-    g^p // g (``frobenius_cofactor``); g is built only for an image
-    that passes the degree test.
+    u = H^p R with H = prod (x - tau_j)^{q_j}, q_j = E_j // p, and R =
+    prod (x - tau_j)^{E_j mod p}, and C(u) = H C(R), since C is
+    p^{-1}-linear (Manin).  With kappa != 0, H C(R) Q = kappa g holds
+    iff
+    - Q | g and H | g/Q, which is q_j <= t_j at every j for the exponent
+      t_j = k_j - [j < 2] of g/Q; at 0 and 1 without a pole, t_j = -1;
+    - C(R) = kappa S with S = g/(Q H) = prod (x - tau_j)^{t_j - q_j}.
+      S is monic, so deg C(R) = deg S and kappa = lead C(R).
+    H, g and the products H C(R), C(u) Q and kappa g are never formed.
+    On ``search.build_cover``'s covers 0 < k_j <= p, so q_j = k_j - 1
+    and S is the product of the x - tau_j over the new points with
+    e_j < 0.
 
     Returns 0 whenever the image is not a nonzero constant multiple of
     (1/Q) z_level dx, a zero image or not.  That is exact for the
@@ -215,14 +217,23 @@ def level_constant(cover, level):
     """
     d = cover.descriptor
     p = d.p
-    es = [e - (j < 2) for j, e in enumerate(cover.step_exponents((level + 1) % cover.s))]
-    image = cartier_of_linear_powers(d, cover.taus, [e if e > 0 else (p - 1) * -e for e in es])
-    if image.is_zero() or image.degree != -sum(e for e in es if e < 0) - 2:
+    remainders, cofactor = [], []
+    for j, e in enumerate(cover.step_exponents((level + 1) % cover.s)):
+        on_q = j < 2
+        e -= on_q
+        k = -e if e < 0 else 0  # the exponent of g
+        q, r = divmod((p - 1) * k if k else e, p)
+        t = k - on_q  # of g/Q: -1 at 0 or 1 when Q does not divide g
+        if q > t:
+            return d.zero()
+        remainders.append(r)
+        cofactor.append(t - q)
+    image = cartier_of_small_powers(d, cover.taus, remainders)
+    if image.degree != sum(cofactor):
         return d.zero()
     kappa = image.lead
-    _, g = powers_of_linear_factors(d, cover.taus, es)
-    q = Poly(d, [d.zero(), -d.one(), d.one()])
-    return kappa if image * q == g * kappa else d.zero()
+    s = _product_of_linear_powers(d, cover.taus, cofactor)
+    return kappa if image == s * kappa else d.zero()
 
 
 def is_fixed_by_constants(coeffs, kappas):
@@ -689,11 +700,15 @@ def ord_single_form(cover, level, h, center):
     """Closed-form order of h * z_level * dx at a critical point."""
     if h.is_zero():
         raise ValueError("the zero form has no order")
+    return form_order(cover, level, h.ord_at(INF if center is INF else cover.taus[center]), center)
+
+
+def form_order(cover, level, ord_h, center):
+    """Order of h * z_level * dx at a critical point where h has order ord_h."""
     mj = cover.m_at(center)
     if center is INF:
         fin = sum(orb[level] for orb in cover.orbits)
         ord_z = -(mj * fin) // cover.m
-        return mj * h.ord_at(INF) + ord_z - mj - 1
-    tau = cover.taus[center]
+        return mj * ord_h + ord_z - mj - 1
     ord_z = mj * cover.orbits[center][level] // cover.m
-    return mj * h.ord_at(tau) + ord_z + mj - 1
+    return mj * ord_h + ord_z + mj - 1

@@ -95,9 +95,8 @@ class DeformationDatum:
             raise ValueError("unknown schema")
         _check_ints(obj)
         sig = sigdata.Signature.from_json(obj["signature"])
-        report = sigdata.validate_signature(sig)
-        if not report.passed:
-            raise ValueError(f"signature: {'; '.join(report.failures)}")
+        if not sig.validation.passed:
+            raise ValueError(f"signature: {'; '.join(sig.validation.failures)}")
         if sig != sigdata.canonicalize(sig):
             # tau is listed in the canonical slot order of the new points
             raise ValueError("signature: points are not in canonical order")
@@ -155,7 +154,9 @@ def build_cover(sig, descriptor, tau_new):
     """The Kummer cover of a canonical signature with given new points.
 
     Base-triple slots map to 0, 1, infinity in order; ``tau_new`` lists
-    the coordinates of the new points in slot order.
+    the coordinates of the new points in slot order.  A signature already
+    in canonical order is used as it is (``sigdata.canonicalize``), with
+    its cached orbits.
     """
     sig = sigdata.canonicalize(sig)
     b0 = sig.b0_indices()
@@ -236,9 +237,8 @@ def search_field(sig, descriptor):
     sorted as the full scan would list them.
     """
     sig = sigdata.canonicalize(sig)
-    report = sigdata.validate_signature(sig)
-    if not report.passed:
-        raise ValueError(f"invalid signature: {report.failures}")
+    if not sig.validation.passed:
+        raise ValueError(f"invalid signature: {sig.validation.failures}")
     new = sig.new_indices()
     candidates = [
         e for e in descriptor.elements() if not e.is_zero() and e != descriptor.one()
@@ -298,6 +298,7 @@ def verify_datum(datum):
     kappa_i (``cartier.is_fixed_by_constants``); the phi rows live in
     F_{p^{lcm(r, s)}}, so kappa is embedded there first, as C commutes
     with the embedding.  ``cartier.is_cartier_fixed`` is the oracle.
+    The orders of the omega_i come in closed form (``omega_orders``).
     """
     sig = datum.signature
     checks = {}
@@ -315,25 +316,16 @@ def verify_datum(datum):
     kappas = [cartier.level_constant(cover, i) for i in range(s)]
     checks["cartier_fixed"] = cartier.is_fixed_by_constants(datum.epsilon, kappas)
 
-    b0 = sig.b0_indices()
-    new = sig.new_indices()
-    slot_of = {}  # signature point index -> cover branch key
-    slot_of[b0[0]] = 0
-    slot_of[b0[1]] = 1
-    slot_of[b0[2]] = INF
-    for k, j in enumerate(new):
-        slot_of[j] = 2 + k
+    orders = omega_orders(datum)
     ord_ok = True
     for i in range(s):
-        form = cartier.omega_form(datum, i)
         for j in range(sig.n_points):
             orbit = sig.orbit(j)
             if all(b == 0 for b in orbit):
                 expected = -1
             else:
                 expected = sig.points[j].nu * sig.m_j(j) + sig.a(j, i) - 1
-            got = cartier.ord_at_critical(form, slot_of[j])
-            if got != expected:
+            if orders[i][j] != expected:
                 ord_ok = False
     checks["vanishing_orders"] = ord_ok
 
@@ -351,6 +343,33 @@ def verify_datum(datum):
         checks["phi_count"] = False
     checks["passed"] = all(checks.values())
     return checks
+
+
+def critical_slots(sig):
+    """The cover's branch key of each point of a canonical signature:
+    0, 1 and INF for the base triple, 2, 3, ... for the new points."""
+    slots = [None] * sig.n_points
+    for j, key in zip(sig.b0_indices(), (0, 1, INF)):
+        slots[j] = key
+    for k, j in enumerate(sig.new_indices()):
+        slots[j] = 2 + k
+    return slots
+
+
+def omega_orders(datum):
+    """orders[i][j], the order of omega_i at the points above point j.
+
+    omega_i = eps_i (1/Q) z_i dx, and 1/Q has order -1 at 0 and 1, 0 at
+    the new points and 2 at infinity, so each order is read in closed
+    form (``cartier.form_order``), with no rational function formed.
+    ``cartier.ord_at_critical`` of ``cartier.omega_form`` is the oracle.
+    """
+    ord_inv_q = {0: -1, 1: -1, INF: 2}
+    slots = critical_slots(datum.signature)
+    return [
+        [cartier.form_order(datum.cover, i, ord_inv_q.get(key, 0), key) for key in slots]
+        for i in range(datum.signature.s)
+    ]
 
 
 def _canonical_slots(slot_b, taus):

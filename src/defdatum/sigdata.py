@@ -261,9 +261,16 @@ def _canonical_key(orbit):
 
 
 def canonicalize(sig):
-    """Base-triple slots sorted by orbit (descending), then new points."""
+    """Base-triple slots sorted by orbit (descending), then new points.
+
+    A signature already in that order is returned itself, so its cached
+    orbits and validation are kept: ``search.search_field`` canonicalizes
+    once, and each ``build_cover`` of its candidates reuses that signature.
+    """
     order = sorted(sig.b0_indices(), key=lambda j: _canonical_key(sig.orbits[j]))
     order += sorted(sig.new_indices(), key=lambda j: _canonical_key(sig.orbits[j]))
+    if order == list(range(len(sig.points))):
+        return sig
     return Signature(sig.p, sig.m, tuple(sig.points[j] for j in order))
 
 

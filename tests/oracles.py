@@ -18,9 +18,17 @@ package's path in the unit suites:
   times m, in integers);
 - ``cartier_rational_by_powering`` (g^(p-1) by repeated squaring) with
   ``cartier.cartier_rational`` (g^p // g);
+- ``cartier_of_linear_powers`` (H C(R), the p-th-power split with H
+  multiplied in) with the Cartier image of the product multiplied out;
+- ``level_constant_by_full_product`` (the identity C(u) Q = kappa g,
+  with C(u) = H C(R) and g formed) with ``cartier.level_constant`` (C(R)
+  = kappa S for the squarefree cofactor S = g/(Q H), on build_cover's
+  covers);
 - ``check_candidate_by_rationals`` (normalized rational functions) with
-  ``search.check_candidate`` (the identity C(u) Q = lambda g, C(u) from
-  the p-th-power split of u);
+  ``search.check_candidate`` (one ``cartier.level_constant`` per level);
+- ``omega_orders_by_ord_at_critical`` (each eigenform a rational
+  function, its orders read by ``cartier.ord_at_critical``) with
+  ``search.omega_orders`` (the orders of 1/Q in closed form);
 - ``search_field_by_full_scan`` (the candidate check on every tuple)
   with ``search.search_field`` (one check per Frobenius orbit, the
   images' lambda by Frobenius);
@@ -212,6 +220,37 @@ def cartier_rational_by_powering(f):
     return RationalFunction(num, g)
 
 
+def cartier_of_linear_powers(descriptor, taus, exponents):
+    """C(u dx)/dx for u = prod (x - tau_j)^{E_j}, E_j >= 0, as H C(R).
+
+    E_j = p q_j + r_j with 0 <= r_j < p, so u = H^p R with H = prod
+    (x - tau_j)^{q_j} and R = prod (x - tau_j)^{r_j}, and C(H^p R dx) =
+    H C(R dx), since C is p^{-1}-linear.
+    """
+    p = descriptor.p
+    image = cartier.cartier_of_small_powers(descriptor, taus, [e % p for e in exponents])
+    h = cartier._product_of_linear_powers(descriptor, taus, [e // p for e in exponents])
+    return h * image
+
+
+def level_constant_by_full_product(cover, level):
+    """``cartier.level_constant`` by forming C(u) = H C(R) and g in full.
+
+    N/g = (1/Q) prod (x - tau_j)^{e_j}, u = N g^(p-1) = prod (x -
+    tau_j)^{E_j}, and the image is kappa/Q dx iff C(u) Q = kappa g.
+    """
+    d = cover.descriptor
+    p = d.p
+    es = [e - (j < 2) for j, e in enumerate(cover.step_exponents((level + 1) % cover.s))]
+    image = cartier_of_linear_powers(d, cover.taus, [e if e > 0 else (p - 1) * -e for e in es])
+    if image.is_zero() or image.degree != -sum(e for e in es if e < 0) - 2:
+        return d.zero()
+    kappa = image.lead
+    _, g = cartier.powers_of_linear_factors(d, cover.taus, es)
+    q = Poly(d, [d.zero(), -d.one(), d.one()])
+    return kappa if image * q == g * kappa else d.zero()
+
+
 def check_candidate_by_rationals(sig, descriptor, tau_new):
     """(lambdas, None) when every level holds, else (None, reason).
 
@@ -238,6 +277,16 @@ def check_candidate_by_rationals(sig, descriptor, tau_new):
             return None, "non-constant numerator"
         lams.append(const.numerator.coeffs[0])
     return lams, None
+
+
+def omega_orders_by_ord_at_critical(datum):
+    """``search.omega_orders`` from ``cartier.ord_at_critical`` of each
+    ``cartier.omega_form``, a normalized rational function per level."""
+    slots = search.critical_slots(datum.signature)
+    return [
+        [cartier.ord_at_critical(cartier.omega_form(datum, i), key) for key in slots]
+        for i in range(datum.signature.s)
+    ]
 
 
 def search_field_by_full_scan(sig, descriptor):

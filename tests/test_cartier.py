@@ -1,12 +1,18 @@
 """The Cartier operator, Kummer covers, eigenforms and local expansions."""
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import cartier_rational_by_powering, series_at
+from oracles import (
+    cartier_of_linear_powers,
+    cartier_rational_by_powering,
+    level_constant_by_full_product,
+    series_at,
+)
 
 from defdatum import cartier, deform, search, sigdata
 from defdatum.algebra import (
@@ -21,7 +27,6 @@ from defdatum.cartier import (
     FormCombination,
     KummerCover,
     cartier_combination,
-    cartier_of_linear_powers,
     cartier_poly,
     cartier_rational,
     expand_combination,
@@ -410,6 +415,64 @@ def test_level_constant_matches_cartier_rational_on_every_tau(p):
                     assert level_constant(cover, level) == expected
                     outcomes.add(outcome)
     assert {"other", "constant"} <= outcomes
+
+
+def cover_with_step_exponents(d, taus, exponents):
+    """A one-level cover with m = max(p - 1, 1) whose step exponents are
+    ``exponents``: e = (b - p b)/m = -b, so b = -e, any sign."""
+    m = max(d.p - 1, 1)
+    return KummerCover(
+        d, m, tuple(taus), tuple((-e,) for e in exponents), (sum(exponents) % m,)
+    )
+
+
+def level_constant_on_every_exponent_triple(d, tau, exponents):
+    """(level_constant, oracle) on the covers over 0, 1, tau with step
+    exponents in ``exponents``, and the number of constants found."""
+    hits = 0
+    for es in itertools.product(exponents, repeat=3):
+        cover = cover_with_step_exponents(d, (d.zero(), d.one(), tau), es)
+        expected = level_constant_by_full_product(cover, 0)
+        assert level_constant(cover, 0) == expected, es
+        hits += bool(expected)
+    return hits
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_level_constant_matches_the_full_product_on_every_small_exponent(r):
+    # every step exponent from -4 to 7 at 0, 1 and a third point, over F_3
+    # and F_9: no pole at 0 or 1 (Q does not divide g), e_j > 0, H not
+    # dividing g/Q (q_j > t_j) and S of degree 0 to 2
+    d = FieldDescriptor.get(3, r)
+    tau = d.generator() if r > 1 else d.element(2)
+    assert level_constant_on_every_exponent_triple(d, tau, range(-4, 8)) >= 19
+
+
+@st.composite
+def hand_made_covers(draw):
+    """A one-level cover over 0, 1 and up to two more points of a field
+    with q <= 125, with step exponents of either sign, p (p - 1) and
+    multiples of p favoured."""
+    d = draw(st.sampled_from([*SPLIT_FIELDS[:5], F5, FieldDescriptor.get(5, 3)]))
+    p = d.p
+    others = [t for t in d.elements() if not t.is_zero() and t != d.one()]
+    extra = draw(st.lists(st.sampled_from(others), max_size=2, unique=True))
+    exponent = st.one_of(
+        st.integers(-p - 1, 2 * p + 1), st.sampled_from([-p, 0, 1 - p, p, p * (p - 1)])
+    )
+    es = draw(st.lists(exponent, min_size=2 + len(extra), max_size=2 + len(extra)))
+    return cover_with_step_exponents(d, (d.zero(), d.one(), *extra), es)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_made_covers())
+def test_level_constant_matches_the_full_product_on_hand_made_covers(cover):
+    d = cover.descriptor
+    expected = level_constant_by_full_product(cover, 0)
+    assert level_constant(cover, 0) == expected
+    image = level_image_by_cartier_rational(cover, 0)
+    constant = image.numerator.degree == 0 and image.denominator.degree == 0
+    assert expected == (image.numerator.coeffs[0] if constant else d.zero())
 
 
 @settings(max_examples=100, deadline=None)

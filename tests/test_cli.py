@@ -498,6 +498,11 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
             id="search-p13",
         ),
         pytest.param(
+            "search-p11-m2-points5-r2",
+            "search --p 11 --m 2 --points 5 --r 2",
+            id="search-f121-two-new-points",
+        ),
+        pytest.param(
             "rigidity-p5-m2-points4-r1", "rigidity --p 5 --m 2 --points 4 --r 1", id="rigidity"
         ),
         pytest.param(
@@ -541,8 +546,11 @@ def test_cohomology_document_matches_golden(runner, golden, args):
     # search document (a Frobenius orbit of two data) by the candidate
     # check on every tuple rather than one per orbit, the p = 13 search
     # document by the candidate check with g^(p-1) as the exact quotient
-    # g^p // g rather than by the p-th-power split; "versions" holds the
-    # Python version, so it is taken from this run
+    # g^p // g rather than by the p-th-power split, the F_121 search
+    # document (two new points, levels whose cofactor S has degree 2) by
+    # the level test C(u) Q = kappa g with C(u) = H C(R) and g formed in
+    # full, and its orders by ord_at_critical; "versions" holds the Python
+    # version, so it is taken from this run
     golden = DATA / f"{golden}.json"
     res = invoke(runner, *args.split())
     assert res.exit_code == 0

@@ -8,10 +8,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import check_candidate_by_rationals, search_field_by_full_scan
+from oracles import (
+    check_candidate_by_rationals,
+    level_constant_by_full_product,
+    omega_orders_by_ord_at_critical,
+    search_field_by_full_scan,
+)
 
 from defdatum import cartier, search, sigdata
 from defdatum.algebra import FieldDescriptor
+from defdatum.cartier import KummerCover
 from defdatum.search import (
     DeformationDatum,
     build_cover,
@@ -259,6 +265,27 @@ def test_search_matches_the_full_scan(p, m, points, r):
     assert_search_matches_the_full_scan(p, m, points, r)
 
 
+SCAN_SIGNATURES = [
+    (FieldDescriptor.get(p, r), sig)
+    for p, m, points, r in SCAN_CONFIGS
+    for sig in sigdata.enumerate_signatures(p, m, points)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_level_constant_matches_the_full_product_on_scan_covers(data):
+    # every level of the cover of a SCAN_CONFIGS signature on random tau
+    d, sig = data.draw(st.sampled_from(SCAN_SIGNATURES))
+    k = len(sig.new_indices())
+    tau = data.draw(
+        st.lists(st.sampled_from(outside_0_1(d)), min_size=k, max_size=k, unique=True)
+    )
+    cover = build_cover(sig, d, tuple(tau))
+    for level in range(cover.s):
+        assert cartier.level_constant(cover, level) == level_constant_by_full_product(cover, level)
+
+
 def assert_search_matches_the_full_scan(p, m, points, r):
     """The same documents in the same order, whether every tuple is
     checked or one per Frobenius orbit; returns the number of data."""
@@ -386,9 +413,11 @@ def stored_data():
 STORED = stored_data()
 
 
-def assert_verdicts_match_is_cartier_fixed(datum):
-    """verify_datum's two Cartier verdicts against ``is_cartier_fixed``."""
+def assert_verdicts_match_the_oracles(datum):
+    """verify_datum's two Cartier verdicts against ``is_cartier_fixed``,
+    and its closed-form orders against ``ord_at_critical``."""
     checks = verify_datum(datum)
+    assert search.omega_orders(datum) == omega_orders_by_ord_at_critical(datum)
     assert checks["cartier_fixed"] == cartier.is_cartier_fixed(cartier.omega_combination(datum))
     phis = cartier.phi_basis(datum)
     assert checks["phi_fixed"] == all(cartier.is_cartier_fixed(ph) for ph in phis)
@@ -404,9 +433,31 @@ def test_stored_data_cover_extension_fields_and_failures():
     assert failing
 
 
+def test_level_constant_matches_the_full_product_on_stored_covers():
+    # every level of every stored cover, most with a constant; then with a
+    # point whose step exponent is p (p - 1) at every level: R and S are
+    # unchanged, but H gains (x - tau)^(p - 1), which g lacks
+    constants = 0
+    for datum in STORED:
+        cover = datum.cover
+        d, p, m = cover.descriptor, cover.descriptor.p, cover.m
+        tau = next(t for t in d.elements() if t not in cover.taus)
+        extra = KummerCover(
+            d, m, cover.taus + (tau,), cover.orbits + ((-p * m,) * cover.s,), cover.infinity_orbit
+        )
+        assert extra.step_exponents(0)[-1] == p * (p - 1)
+        for level in range(cover.s):
+            kappa = cartier.level_constant(cover, level)
+            assert kappa == level_constant_by_full_product(cover, level)
+            constants += bool(kappa)
+            assert not cartier.level_constant(extra, level)
+            assert not level_constant_by_full_product(extra, level)
+    assert constants > len(STORED)
+
+
 @pytest.mark.parametrize("index", range(len(STORED)))
 def test_cartier_verdicts_match_is_cartier_fixed_on_stored_data(index):
-    assert_verdicts_match_is_cartier_fixed(STORED[index])
+    assert_verdicts_match_the_oracles(STORED[index])
 
 
 def altered(datum, kind, c, t):
@@ -435,14 +486,14 @@ def test_cartier_verdicts_match_is_cartier_fixed_on_altered_data(data):
     kind = data.draw(st.sampled_from(kinds))
     c = data.draw(st.sampled_from([e for e in d.elements() if not e.is_zero()]))
     t = data.draw(st.sampled_from(free)) if kind == "move_tau" else None
-    assert_verdicts_match_is_cartier_fixed(altered(datum, kind, c, t))
+    assert_verdicts_match_the_oracles(altered(datum, kind, c, t))
 
 
 def test_moved_tau_leaves_a_level_without_constant():
     datum = search_field(sig_of(5, 2, (1, 0, 0), new=(1,)), F5)[0]
     moved = altered(datum, "move_tau", None, F5.element(3))
     assert not cartier.level_constant(moved.cover, 0)
-    checks = assert_verdicts_match_is_cartier_fixed(moved)
+    checks = assert_verdicts_match_the_oracles(moved)
     assert not checks["cartier_fixed"] and not checks["phi_fixed"]
 
 

@@ -1,5 +1,6 @@
 """Signatures: admissibility, purity, specialty, enumeration, invariants."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -100,6 +101,23 @@ def test_canonicalize_sorts_wild_points_last():
     canon = canonicalize(sig)
     assert [pt.b0 for pt in canon.points] == [1, 1, 0]
     assert canonicalize(canon) == canon
+
+
+def test_canonicalize_returns_a_canonical_signature_itself():
+    # with its cached orbits and validation; a permuted signature gets a
+    # new one, sorted as before: base points by descending orbit, then
+    # new points
+    sigs = enumerate_signatures(5, 4, 5)
+    assert sigs
+    for sig in sigs:
+        report = sig.validation
+        assert canonicalize(sig) is sig
+        assert canonicalize(sig).validation is report
+        for order in itertools.permutations(range(sig.n_points)):
+            permuted = Signature(sig.p, sig.m, tuple(sig.points[j] for j in order))
+            got = canonicalize(permuted)
+            assert got == sig
+            assert (got is permuted) == (permuted == sig)
 
 
 def test_enumerate_golden_case():

@@ -1,8 +1,13 @@
 """The Cartier operator on P^1 and on Kummer covers z^m = prod (x-tau_j)^b_j.
 
-A form on the cover is a ``FormCombination`` sum_i h_i(x) * z_i * dx
-with h_i rational, one level i per Frobenius step of the exponent orbit
-(a single eigenform has one nonzero level).  The operator sends
+A form on the cover is a ``FormCombination`` sum_i h_i(x) * z_i * dx,
+one level i per Frobenius step of the exponent orbit (a single eigenform
+has one nonzero level).  Each h_i is a ``BranchFraction``, a numerator
+over known powers of the x - tau_j at the finite branch points, so no
+form on the way to an expansion or a residue is reduced by a gcd.  The
+general Cartier test ``is_cartier_fixed`` takes normalized rational
+functions (``cartier_rational``) and is the oracle of the fast paths.
+The operator sends
 level i+1 to level i via z_{i+1} = z_i^p * prod (x-tau_j)^{e_j} with
 integer exponents e_j = (b^(i+1) - p b^(i))/m; the root-of-unity
 ambiguity in that relation is fixed as 1 (any other choice is absorbed
@@ -27,13 +32,17 @@ at the center c is built once from series of
 
 terms: v is the least ``ord_single_form`` (the exact order of a term
 h_l z_l dx) over the nonzero h_l, m_c the ramification index at c and D
-the largest multiplicity of tau_c in their numerators and denominators.
-Products, inverses and m-th roots of series keep the least relative
-precision of their factors.  It is lost only by the factor x - tau_c =
-t^{m_c} of the radicand (m_c) and by a polynomial with a D-fold zero at
-tau_c (m_c D, and m_c more at tau_c = 0, where x itself starts at
-t^{m_c}); nothing is lost at infinity.  So every coefficient through
-``upto`` is exact.  The derived form is sized by its own orders.
+the largest |ord_{tau_c} h_l|, the multiplicity of tau_c in the
+numerator or the denominator of h_l once their common factors x - tau_c
+are divided out (``BranchFraction.reduced_at``).  Products, inverses and
+m-th roots of series keep the least relative precision of their
+factors.  It is lost only by the factor x - tau_c = t^{m_c} of the
+radicand (m_c), by a numerator with a D-fold zero at tau_c (m_c D, and
+m_c more at tau_c = 0, where x itself starts at t^{m_c}) and by the
+same factor in the denominator, whose series is a product of powers of
+the factor series (m_c); nothing is lost at infinity.  So every
+coefficient through ``upto`` is exact.  The derived form is sized by
+its own orders.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
 from .algebra import (
     INF,
@@ -74,10 +84,9 @@ def frobenius_cofactor(g):
 
     In characteristic p, Frobenius is additive: g^p = sum c_k^p x^{pk}
     takes no product, only the p-th powers of the coefficients.  Its
-    callers are ``cartier_rational`` and ``deform.lift_datum``, whose
-    denominators are not split into linear factors; ``level_constant``
-    splits u = N g^{p-1} into linear powers and forms neither g nor
-    g^{p-1}.
+    caller is ``cartier_rational``, whose denominator is not split into
+    linear factors; ``level_constant`` and ``deform.lift_datum`` split
+    u = N g^{p-1} into linear powers and form neither g nor g^{p-1}.
     """
     d = g.descriptor
     p = d.p
@@ -153,6 +162,169 @@ def powers_of_linear_factors(descriptor, taus, exponents):
         _product_of_linear_powers(descriptor, taus, exponents),
         _product_of_linear_powers(descriptor, taus, [-e for e in exponents]),
     )
+
+
+def _divide_out(poly, tau, limit):
+    """(poly / (x - tau)^k, k) for the largest k <= limit with (x - tau)^k | poly.
+
+    Synthetic division: Horner's rule at the known root gives the
+    quotient's coefficients and the remainder poly(tau) in one pass.
+    """
+    coeffs = poly.coeffs
+    k = 0
+    while k < limit and coeffs:
+        acc = None
+        steps = []
+        for c in reversed(coeffs):
+            acc = c if acc is None else acc * tau + c
+            steps.append(acc)
+        if acc:
+            break
+        coeffs = steps[-2::-1]
+        k += 1
+    return (Poly(poly.descriptor, coeffs) if k else poly), k
+
+
+class BranchFraction:
+    """P / prod_k (x - tau_k)^{e_k}: a rational function with poles only at
+    the finite branch points tau_k of a cover.
+
+    The exponents are known, so no operation takes a gcd or divides
+    polynomials: a sum takes the larger exponent at every point and
+    multiplies each numerator by its missing linear powers
+    (``_linear_power``), a product adds the exponents, and the derivative
+    is the logarithmic one.  P may share factors x - tau_k with the
+    denominator; the order at tau_c is then the multiplicity of tau_c in
+    P minus e_c, and equality brings both sides to the larger exponents.
+    ``from_rational`` and ``to_rational`` convert at the boundary with
+    ``RationalFunction``.
+    """
+
+    __slots__ = ("taus", "num", "exps")
+
+    def __init__(self, taus, num, exps):
+        self.taus = taus
+        self.num = num
+        self.exps = tuple(exps) if num.coeffs else (0,) * len(taus)
+
+    @staticmethod
+    def from_rational(taus, f):
+        """f over the branch points ``taus``; ValueError for a pole elsewhere."""
+        den = f.denominator
+        exps = [den.multiplicity_at(t) for t in taus]
+        if sum(exps) != den.degree:
+            raise ValueError("the form has a pole away from the branch points")
+        return BranchFraction(tuple(taus), f.numerator, exps)
+
+    def to_rational(self):
+        d = self.num.descriptor
+        return RationalFunction(self.num, _product_of_linear_powers(d, self.taus, self.exps))
+
+    def is_zero(self):
+        return not self.num.coeffs
+
+    def _check(self, other):
+        if other.taus is not self.taus and other.taus != self.taus:
+            raise ValueError("fractions over different branch points")
+
+    def _over(self, exps):
+        """The numerator over prod (x - tau_k)^{exps_k}, exps >= self.exps."""
+        missing = [a - b for a, b in zip(exps, self.exps)]
+        if not any(missing):
+            return self.num
+        return self.num * _product_of_linear_powers(self.num.descriptor, self.taus, missing)
+
+    def __add__(self, other):
+        self._check(other)
+        if not other.num.coeffs:
+            return self
+        if not self.num.coeffs:
+            return other
+        if self.exps == other.exps:
+            return BranchFraction(self.taus, self.num + other.num, self.exps)
+        exps = tuple(map(max, self.exps, other.exps))
+        return BranchFraction(self.taus, self._over(exps) + other._over(exps), exps)
+
+    def __mul__(self, other):
+        """The product with another fraction (exponents added) or a scalar."""
+        if isinstance(other, BranchFraction):
+            self._check(other)
+            exps = tuple(map(add, self.exps, other.exps))
+            return BranchFraction(self.taus, self.num * other.num, exps)
+        return BranchFraction(self.taus, self.num * other, self.exps)
+
+    def derivative(self):
+        """(P/D)' = (P' L - P sum_k e_k L/(x - tau_k)) / (D L), L = prod_{e_k > 0} (x - tau_k)."""
+        d = self.num.descriptor
+        poles = [1 if e else 0 for e in self.exps]
+        num = self.num.derivative()
+        if not any(poles):
+            return BranchFraction(self.taus, num, self.exps)
+        num = num * _product_of_linear_powers(d, self.taus, poles)
+        for k, e in enumerate(self.exps):
+            e = d.element(e)
+            if e:
+                poles[k] = 0
+                num = num - self.num * _product_of_linear_powers(d, self.taus, poles) * e
+                poles[k] = 1
+        return BranchFraction(self.taus, num, map(add, self.exps, poles))
+
+    def order(self, center):
+        """The order at tau_center (a branch index), or at infinity for INF."""
+        if not self.num.coeffs:
+            raise ValueError("the zero function has no valuation")
+        if center is INF:
+            return sum(self.exps) - self.num.degree
+        return _divide_out(self.num, self.taus[center], self.num.degree)[1] - self.exps[center]
+
+    def reduced_at(self, center):
+        """The same function with no factor x - tau_center common to P and D."""
+        e = self.exps[center]
+        if not e:
+            return self
+        num, k = _divide_out(self.num, self.taus[center], e)
+        if not k:
+            return self
+        exps = list(self.exps)
+        exps[center] -= k
+        return BranchFraction(self.taus, num, exps)
+
+    def simple_residue(self, j):
+        """Res_{tau_j} of self dx for at most a simple pole at tau_j.
+
+        In closed form, P(tau_j) / prod_{k != j} (tau_j - tau_k)^{e_k}
+        after any common factor x - tau_j is divided out, and 0 where
+        there is no pole.  ValueError for a pole of higher order.
+        """
+        h = self.reduced_at(j)
+        d = h.num.descriptor
+        if not h.exps[j]:
+            return d.zero()
+        if h.exps[j] > 1:
+            raise ValueError("not a simple pole")
+        tau = h.taus[j]
+        den = d.one()
+        for k, (t, e) in enumerate(zip(h.taus, h.exps)):
+            if e and k != j:
+                den = den * (tau - t) ** e
+        return h.num.evaluate(tau) / den
+
+    def embed(self, target, taus):
+        """The fraction over ``target``, whose points ``taus`` are the embedded ones."""
+        return BranchFraction(taus, self.num.embed(target), self.exps)
+
+    def __eq__(self, other):
+        if not isinstance(other, BranchFraction):
+            return NotImplemented
+        if self.taus != other.taus:
+            return False
+        if self.exps == other.exps:
+            return self.num == other.num
+        exps = tuple(map(max, self.exps, other.exps))
+        return self._over(exps) == other._over(exps)
+
+    def __repr__(self):
+        return f"BranchFraction({self.num!r} / {self.exps})"
 
 
 def cartier_of_small_powers(descriptor, taus, exponents):
@@ -363,7 +535,8 @@ class KummerCover:
 
 @dataclass(frozen=True)
 class FormCombination:
-    """sum over levels of h_l * z_l * dx (one rational coefficient per level).
+    """sum over levels of h_l * z_l * dx, one ``BranchFraction`` h_l per level
+    over the cover's finite branch points.
 
     The eigenform omega_i is the combination with only level i nonzero.
     """
@@ -387,46 +560,36 @@ class FormCombination:
 
 
 def cartier_combination(combo):
+    """C of the combination, each level a normalized rational function
+    through ``cartier_rational``: the level-l image has poles only where
+    h_l and the step factor have them, at the branch points."""
     cover = combo.cover
     out = [None] * cover.s
     for level, h in enumerate(combo.hs):
-        out[(level - 1) % cover.s] = cartier_rational(h * cover.step_factor(level))
+        image = cartier_rational(h.to_rational() * cover.step_factor(level))
+        out[(level - 1) % cover.s] = BranchFraction.from_rational(cover.taus, image)
     return FormCombination(cover, tuple(out))
 
 
 def is_cartier_fixed(combo):
     """True iff the Cartier operator returns the combination exactly.
 
-    The general test, for any rational coefficients, each level through
+    The general test, for any coefficients, each level through
     ``cartier_rational``; ``search.verify_datum`` tests its constant
     coefficients by ``is_fixed_by_constants``, and this is the oracle.
     """
     return cartier_combination(combo) == combo
 
 
-def omega_form(datum, i):
-    """The level-i eigenform eps_i * z_i * dx / prod_{B0 finite}(x - tau).
-
-    A combination whose only nonzero level is i (mod s).
-    """
-    cover = datum.cover
-    level = i % cover.s
-    eps = datum.epsilon[level]
-    if eps.is_zero():
-        raise ValueError("eigenform constants must be units")
-    d = cover.descriptor
-    zero = RationalFunction(Poly(d, []), Poly.constant(d, 1))
-    hs = [zero] * cover.s
-    hs[level] = RationalFunction(Poly.constant(d, eps), datum.q_poly)
-    return FormCombination(cover, tuple(hs))
-
-
 def omega_combination(datum):
-    d = datum.cover.descriptor
-    hs = []
-    for i in range(datum.cover.s):
-        hs.append(RationalFunction(Poly.constant(d, datum.epsilon[i]), datum.q_poly))
-    return FormCombination(datum.cover, tuple(hs))
+    """sum_i eps_i (1/Q) z_i dx, Q = x (x - 1) over the cover's first two
+    branch points, 0 and 1 (``search.build_cover``)."""
+    cover = datum.cover
+    d = cover.descriptor
+    exps = (1, 1) + (0,) * (len(cover.taus) - 2)
+    return FormCombination(
+        cover, tuple(BranchFraction(cover.taus, Poly.constant(d, e), exps) for e in datum.epsilon)
+    )
 
 
 def phi_coefficients(datum):
@@ -464,19 +627,6 @@ def phi_coefficients(datum):
     raise ArithmeticError("no scalar yields an F_p-independent fixed basis")
 
 
-def phi_basis(datum):
-    """The forms phi_l of ``phi_coefficients``, as ``FormCombination``s."""
-    rows, field = phi_coefficients(datum)
-    embedded = datum.embedded(field)
-    q = embedded.q_poly
-    return [
-        FormCombination(
-            embedded.cover, tuple(RationalFunction(Poly.constant(field, c), q) for c in row)
-        )
-        for row in rows
-    ]
-
-
 def _primitive_root_of_unity(descriptor, m):
     """Least element of multiplicative order m (serialization order)."""
     if (descriptor.order - 1) % m:
@@ -506,7 +656,25 @@ def _eval_poly(poly, x):
     return acc
 
 
-def expand_combination(cover, hs, center, upto):
+def branch_root(cover, center):
+    """(root, field) fixing the branch of z_0 at a critical point.
+
+    The radicand's leading coefficient is prod_{k != c} (tau_c -
+    tau_k)^{b_k^(0)} at a finite center c and 1 at infinity; the root is
+    its least m-th root (serialization order) in the least extension of
+    the cover's field that holds one (``nth_root_with_extension``).  It
+    depends on the cover and the center alone, so a caller expanding
+    many forms at one point takes it once.
+    """
+    lead = cover.descriptor.one()
+    if center is not INF:
+        for k, (tau_k, orbit) in enumerate(zip(cover.taus, cover.orbits)):
+            if k != center:
+                lead = lead * (cover.taus[center] - tau_k) ** orbit[0]
+    return nth_root_with_extension(lead, cover.m)
+
+
+def expand_combination(cover, hs, center, upto, branch):
     """Expansion of a nonzero sum_l h_l z_l dx at a critical point.
 
     ``center`` is a finite branch index or INF.  The local parameter is t
@@ -516,8 +684,8 @@ def expand_combination(cover, hs, center, upto):
     constant of z.  Over the dual numbers the epsilon-part is the
     expansion of ``epsilon_form``.
 
-    The branch of z_0 is fixed by the least m-th root (serialization
-    order) of the leading constant; higher levels follow from the
+    The branch of z_0 is fixed by ``branch``, the (root, field) of
+    ``branch_root`` at this center; higher levels follow from the
     Frobenius recursion, so all levels use consistent branches.
 
     Every series has L = max(upto, v) - v + 1 + [c finite] m_c (1 + D)
@@ -531,38 +699,28 @@ def expand_combination(cover, hs, center, upto):
     v = min(orders)
     length = max(upto, v) - v + 1
     if center is not INF:
-        tau = cover.taus[center]
-        mult = max(
-            g.multiplicity_at(tau)
-            for h in hs
-            if not h.is_zero()
-            for g in (h.numerator, h.denominator)
-        )
+        hs = tuple(h.reduced_at(center) for h in hs)
+        mult = max(abs(h.order(center)) for h in hs if not h.is_zero())
         length += cover.m_at(center) * (1 + mult)
-    out = _expand(cover, hs, center, length)
+    out = _expand(cover, hs, center, length, branch)
     if out.window()[1] < upto:
         raise ArithmeticError("expansion ends below upto: the precision rule is broken")
     return out
 
 
-def _expand(cover, hs, center, length):
+def _expand(cover, hs, center, length, branch):
     """``expand_combination`` from series of ``length`` terms.
 
-    The radicand's leading coefficient, prod_{k != c} (tau_c -
-    tau_k)^{b_k^(0)} at a finite center c and 1 at infinity, gets its
-    least m-th root, and the minimal extension, before anything is built.
+    Each h_l = P_l / prod (x - tau_k)^{e_k} is the series of P_l times the
+    inverse of a product of powers of the factor series x - tau_k, one
+    inverse per exponent vector.
     """
     m = cover.m
     mj = cover.m_at(center)
-    lead = cover.descriptor.one()
-    if center is not INF:
-        for k, (tau_k, orbit) in enumerate(zip(cover.taus, cover.orbits)):
-            if k != center:
-                lead = lead * (cover.taus[center] - tau_k) ** orbit[0]
-    root, desc = nth_root_with_extension(lead, m)
+    root, desc = branch
     if desc != cover.descriptor:
         cover = cover.embed(desc)
-        hs = tuple(h.embed(desc) for h in hs)
+        hs = tuple(h.embed(desc, cover.taus) for h in hs)
     if center is INF:
         x = _monomial(desc, 1, -mj, length)
         dx = x.derivative()
@@ -581,11 +739,22 @@ def _expand(cover, hs, center, length):
             if e:
                 z = z * fk**e
         zs.append(z)
+    inverses = {}
     total = None
     for h, z in zip(hs, zs):
-        if not h.is_zero():
-            term = _eval_poly(h.numerator, x) * _eval_poly(h.denominator, x).inverse() * z * dx
-            total = term if total is None else total + term
+        if h.is_zero():
+            continue
+        term = _eval_poly(h.num, x) * z * dx
+        if any(h.exps):
+            inv = inverses.get(h.exps)
+            if inv is None:
+                den = None
+                for fk, e in zip(factors, h.exps):
+                    if e:
+                        den = fk**e if den is None else den * fk**e
+                inv = inverses[h.exps] = den.inverse()
+            term = term * inv
+        total = term if total is None else total + term
     return total
 
 
@@ -611,80 +780,34 @@ def epsilon_form(combo, center, delta, thetas=None):
         g_l = theta_l + delta_c h_l' + h_l (1/m) sum_{k != c} (delta_c - delta_k) b_k^(l) / (x - tau_k),
 
     linear in (h, theta) and in delta.  At infinity g_l - theta_l is the
-    part forced on omega_l by the moving points alone.
+    part forced on omega_l by the moving points alone.  The sum over k is
+    one fraction: sum_k c_k prod_{j != k} (x - tau_j) over prod_k (x -
+    tau_k), both over the k with c_k != 0.
     """
     cover = combo.cover
     d = cover.descriptor
-    x = Poly.x(d)
+    taus = cover.taus
     zero = d.zero()
     delta_c = delta.get(center, zero)
     minv = d.element(cover.m).inverse()
     out = []
     for level, h in enumerate(combo.hs):
-        moved = RationalFunction(Poly(d, []), Poly.constant(d, 1))
-        for k, (tau, orbit) in enumerate(zip(cover.taus, cover.orbits)):
-            shift = delta_c - delta.get(k, zero)
-            if k != center and not shift.is_zero():
-                moved = moved + RationalFunction(
-                    Poly.constant(d, d.element(orbit[level]) * shift), x - Poly.constant(d, tau)
-                )
-        g = h * moved * minv
-        if not delta_c.is_zero():
+        coeffs = [
+            zero if k == center else d.element(orbit[level]) * (delta_c - delta.get(k, zero))
+            for k, orbit in enumerate(cover.orbits)
+        ]
+        poles = [1 if c else 0 for c in coeffs]
+        num = Poly(d, [])
+        for k, c in enumerate(coeffs):
+            if c:
+                poles[k] = 0
+                num = num + _product_of_linear_powers(d, taus, poles) * c
+                poles[k] = 1
+        g = h * BranchFraction(taus, num, poles) * minv
+        if delta_c:
             g = g + h.derivative() * delta_c
         out.append(g + thetas[level] if thetas else g)
     return FormCombination(cover, tuple(out))
-
-
-def ord_at_critical(combo, center):
-    """Exact vanishing order of a combination at a critical point.
-
-    When the terms' orders ``ord_single_form`` are pairwise distinct the
-    order is their minimum; when some tie, the local expansion is built
-    once, up to the Riemann-Hurwitz bound ``_order_bound``, with no
-    retry.  The input must be nonzero.
-    """
-    if combo.is_zero():
-        raise ValueError("the zero form has no order")
-    orders = _term_orders(combo.cover, combo.hs, center)
-    if len(set(orders)) == len(orders):
-        return min(orders)
-    order = expand_combination(combo.cover, combo.hs, center, _order_bound(combo)).order()
-    if order is None:
-        # only possible on a disconnected cover: the form is zero on the
-        # component through this point
-        raise ArithmeticError("the form vanishes identically at this point")
-    return order
-
-
-def _order_bound(combo):
-    """An upper bound for the order of a combination at any point above a branch.
-
-    On the smooth complete cover Z, a differential that is not zero on
-    the component C through the point P has sum_{P' in C} ord_{P'} =
-    2g_C - 2.  Above a branch Q each term has its ``ord_single_form`` at
-    every point, so ord_{P'} >= lb_Q, the least of them; over no branch
-    the terms are regular.  Hence ord_P <= 2g_C - 2 + sum_Q (m/m_Q)
-    max(0, -lb_Q), with m/m_Q points above Q.  By Riemann-Hurwitz the
-    degree-m cover has 2g - 2 = -2m + sum_Q (m - m/m_Q), shared by its
-    d = gcd(m, b_Q) isomorphic components.  Raises ValueError when some
-    h_l has a pole away from the branch points, and KeyError when
-    infinity is not a branch of the cover.
-    """
-    cover = combo.cover
-    for h in combo.hs:
-        if not h.is_zero():
-            den = h.denominator
-            if den.degree != sum(den.multiplicity_at(tau) for tau in cover.taus):
-                raise ValueError("the form has a pole away from the branch points")
-    m = cover.m
-    branches = [*range(len(cover.taus)), INF]
-    sheets = {Q: m // cover.m_at(Q) for Q in branches}
-    bound = (sum(m - n for n in sheets.values()) - 2 * m) // gcd(
-        m, *(cover.orbit_at(Q)[0] for Q in branches)
-    )
-    for Q in branches:
-        bound += sheets[Q] * max(0, -min(_term_orders(cover, combo.hs, Q)))
-    return bound
 
 
 def _term_orders(cover, hs, center):
@@ -700,7 +823,7 @@ def ord_single_form(cover, level, h, center):
     """Closed-form order of h * z_level * dx at a critical point."""
     if h.is_zero():
         raise ValueError("the zero form has no order")
-    return form_order(cover, level, h.ord_at(INF if center is INF else cover.taus[center]), center)
+    return form_order(cover, level, h.order(center), center)
 
 
 def form_order(cover, level, ord_h, center):

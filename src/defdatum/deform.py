@@ -9,22 +9,28 @@ k[eps], whose epsilon-part is the plain expansion of the derived form
 ``cartier.epsilon_form``, and the generic failure of specialty along
 every direction is the rigidity statement.
 
+Every form on the way is a ``cartier.BranchFraction``, a numerator over
+powers of the x - tau at the finite branch points, whose exponents are
+known in advance: sums, products, derivatives, orders and residues take
+no gcd and no polynomial division.
+
 The linear condition is written over one fixed denominator per level.
 With Q N = x (x - 1) prod over the new points (x - tau), which is
-squarefree, and N_i/g_i the level's step factor, every form that
-enters is P N_i/D_i with D_i = Q N g_i, and C(P N_i/D_i dx) =
-C(P U_i)/D_i dx with U_i = N_i D_i^(p-1): the system is the F_p
-coordinates of the polynomials ``cartier.cartier_poly(P U_i)``, with no
-rational function normalized on the way.
+squarefree, and N_i/g_i the level's step factor, every form that enters
+is P N_i/D_i with D_i = Q N g_i, and C(P N_i/D_i dx) = C(P U_i)/D_i dx
+with U_i = N_i D_i^(p-1) = prod (x - tau_j)^{E_j}.  The p-th-power split
+E_j = p q_j + r_j writes U_i = H^p R with R = prod (x - tau_j)^{r_j},
+and C(P H^p R) = H C(P R), since C is p^(-1)-linear; multiplying by H
+is injective, so the system is the F_p coordinates of the polynomials
+``cartier.cartier_poly(P R)``, and neither H nor U_i is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from . import cartier, sigdata
-from .algebra import INF, FieldDescriptor, LaurentSeries, Poly, RationalFunction
+from .algebra import INF, FieldDescriptor, LaurentSeries, Poly
 from .homcoh import rank_mod_p, solve_mod_p
 
 
@@ -40,7 +46,7 @@ class DeformedDatum:
 
     base: object  # search.DeformationDatum
     delta: tuple  # one FieldElement per new point
-    h: tuple  # one RationalFunction per level, relative to z_{i,R} dx
+    h: tuple  # one cartier.BranchFraction per level, relative to z_{i,R} dx
 
 
 def _new_slots(datum):
@@ -90,14 +96,18 @@ def lift_datum(datum, delta):
 
     The system is written over one denominator per level.  With the
     step factor N_i/g_i and D_i = Q N g_i, every form that enters is
-    (P/(Q N)) (N_i/g_i) = P N_i/D_i, so its Cartier image is
-    C(P U_i)/D_i dx with U_i = N_i D_i^(p-1) (``cartier_poly``,
-    ``frobenius_cofactor``), and A_i = P_A/(Q N) with P_A = num(A_i)
-    (Q N / den(A_i)).  A relation among rational functions over one
-    denominator is the same relation among their numerators, so the
-    F_p coordinates of C(x^k gamma^t U_i) and -C(P_A U_i) give the same
-    solution set and rank as any other common denominator: the solution
-    is unique, and h_i is the same whatever denominator writes it.
+    (P/(Q N)) (N_i/g_i) = P N_i/D_i, so its Cartier image is C(P U_i)/D_i
+    dx with U_i = N_i D_i^(p-1), and A_i = P_A/(Q N) with P_A = A_i Q N,
+    the numerator of A_i times the linear factors of Q N its denominator
+    lacks.  U_i is a product of linear powers, split as H^p R by E_j = p
+    q_j + r_j (the module docstring), and C(w H^p R) = H C(w R).  A
+    relation among rational functions over one denominator is the same
+    relation among their numerators, and multiplying by H != 0 is
+    injective, so the F_p coordinates of C(x^k gamma^t R) and -C(P_A R)
+    give the same solution set and rank as any other common denominator:
+    the solution is unique, and h_i is the same whatever denominator
+    writes it.  Since C(gamma^t f) = gamma^(t/p) C(f), a level takes
+    nu + 2 Cartier images: C(x^k R) for k = 0..nu and the right-hand side.
     """
     sig = datum.signature
     if not sigdata.is_pure(sig):
@@ -108,35 +118,35 @@ def lift_datum(datum, delta):
     if len(delta) != len(datum.tau):
         raise ValueError("one delta per new branch point")
     cover = datum.cover
-    x = Poly.x(d)
-    qn = datum.q_poly
-    for tau in datum.tau:
-        qn = qn * (x - Poly.constant(d, tau))
-    monomials = [
-        Poly(d, [d.zero()] * k + [d.generator() ** t])
-        for k in range(len(datum.tau) + 1)
-        for t in range(d.r)
-    ]
+    taus = cover.taus
+    zero = d.zero()
+    gamma_roots = [(d.generator() ** t).frobenius_inverse() for t in range(d.r)]
     corrections = []
     for i, a_i in enumerate(_polar_part(datum, delta)):
-        n_i, g_i = cartier.powers_of_linear_factors(d, cover.taus, cover.step_exponents(i))
-        u_i = n_i * cartier.frobenius_cofactor(qn * g_i)
-        cofactor, rem = divmod(qn, a_i.denominator)
-        if rem:
-            raise ArithmeticError(f"level {i}: the polar part has a pole off the branch points")
-        rhs = -cartier.cartier_poly(a_i.numerator * cofactor * u_i)
-        *columns, b = _fp_coordinates([cartier.cartier_poly(w * u_i) for w in monomials] + [rhs])
+        if any(e > 1 for e in a_i.exps):
+            raise ArithmeticError(f"level {i}: the polar part is not over Q N")
+        # E_j = e_j + (p - 1) where N_i has x - tau_j to the e_j >= 0, and
+        # (p - 1)(1 - e_j) where g_i has it to the -e_j > 0
+        r, _ = cartier.powers_of_linear_factors(
+            d, taus, [(e + p - 1 if e >= 0 else (p - 1) * (1 - e)) % p
+                      for e in cover.step_exponents(i)]
+        )
+        cofactor, _ = cartier.powers_of_linear_factors(d, taus, [1 - e for e in a_i.exps])
+        rhs = -cartier.cartier_poly(a_i.num * cofactor * r)
+        images = [
+            cartier.cartier_poly(Poly(d, [zero] * k + list(r.coeffs)))
+            for k in range(len(datum.tau) + 1)
+        ]
+        columns = [image * c for image in images for c in gamma_roots]
+        *columns, b = _fp_coordinates(columns + [rhs])
         A = list(zip(*columns, strict=True))
         sol = solve_mod_p(A, b, p)
         if sol is None:
             raise ArithmeticError(f"level {i}: no logarithmic correction exists")
         if rank_mod_p(A, p) != len(columns):
             raise ArithmeticError(f"level {i}: correction space is singular")
-        num = Poly(d, [])
-        for coeff, w in zip(sol, monomials):
-            if coeff:
-                num = num + w * coeff
-        corrections.append(RationalFunction(num, qn))
+        num = Poly(d, [d.element(sol[k : k + d.r]) for k in range(0, len(sol), d.r)])
+        corrections.append(cartier.BranchFraction(taus, num, (1,) * len(taus)))
     return DeformedDatum(datum, delta, tuple(corrections))
 
 
@@ -148,9 +158,9 @@ def kodaira_spencer(deformed):
     delta_j = m Q(tau_j) Res_{tau_j}(h_i) / (eps_i b_j^{(i)}),
     independent of the level i; the cross-level agreement is checked.
 
-    The residue is read in closed form, num(tau)/den'(tau): the pole
-    is simple because den divides the squarefree Q N over which
-    ``lift_datum`` writes h_i (``_simple_residue``).
+    The residue is read in closed form (``BranchFraction.simple_residue``):
+    ``lift_datum`` writes h_i over the squarefree Q N, so every pole is
+    simple.
     """
     datum = deformed.base
     sig = datum.signature
@@ -164,7 +174,7 @@ def kodaira_spencer(deformed):
             b = sig.orbit(j)[i]
             if b % d.p == 0:
                 continue  # the residue is killed by b in characteristic p
-            res = _simple_residue(deformed.h[i], tau)
+            res = deformed.h[i].simple_residue(slot)
             val = (d.element(sig.m) * q.evaluate(tau) * res) * (
                 datum.epsilon[i] * d.element(b)
             ).inverse()
@@ -177,20 +187,18 @@ def kodaira_spencer(deformed):
     return tuple(out)
 
 
-def _simple_residue(h, tau):
-    """Res_tau h dx = num(tau)/den'(tau), and 0 where den(tau) != 0.
+def branch_roots(datum):
+    """The branch of z at each new point for its specialty expansions:
+    ``cartier.branch_root`` on the datum's cover over ``field_with_roots``.
 
-    Exact for the corrections of ``lift_datum``: each is written over
-    Q N, which is squarefree because the finite branch points are
-    distinct, so the reduced denominator divides it and every pole is
-    simple.  Then den = (x - tau) e with e(tau) = den'(tau) != 0.
+    It depends on the datum and the point alone, so it is taken once and
+    shared by every lift of the datum.
     """
-    if h.denominator.evaluate(tau):
-        return tau.descriptor.zero()
-    return h.numerator.evaluate(tau) / h.denominator.derivative().evaluate(tau)
+    cover = datum.embedded(datum.field_with_roots()).cover
+    return [cartier.branch_root(cover, slot) for slot, _ in _new_slots(datum)]
 
 
-def is_j_special(deformed, k):
+def is_j_special(deformed, k, branch):
     """Specialty of the lift at the k-th new point, over the dual numbers.
 
     Every nonzero element of the fixed space (coefficients c^{p^i} for
@@ -199,15 +207,16 @@ def is_j_special(deformed, k):
     M = m_j + a_j - 1 to vanish identically (epsilon-parts included)
     and the coefficient at M to be a unit.  Each of the two parts is
     sized by ``expand_combination`` from valuations, one build each.
+    ``branch`` is the point's entry of ``branch_roots``.
     """
-    for base, eps, target in _specialty_expansions(deformed, k):
+    for base, eps, target in _specialty_expansions(deformed, k, branch):
         # a series starts at its first nonzero coefficient
         if base.order() != target or eps.start < target:
             return False
     return True
 
 
-def _specialty_expansions(deformed, k):
+def _specialty_expansions(deformed, k, branch):
     """(base, epsilon-part, M) at the k-th new point per nonzero c in F_{p^s}.
 
     The epsilon-part's form is linear in c level by level, so it is
@@ -222,10 +231,13 @@ def _specialty_expansions(deformed, k):
     s = datum.cover.s
     d = datum.descriptor
     sub = FieldDescriptor.get(d.p, s)
-    big = FieldDescriptor.get(d.p, lcm(d.r, s))
+    big = datum.field_with_roots()
     unit = cartier.omega_combination(datum.embedded(big))
     eps_unit = cartier.epsilon_form(
-        unit, slot, {slot: deformed.delta[k].embed(big)}, [t.embed(big) for t in deformed.h]
+        unit,
+        slot,
+        {slot: deformed.delta[k].embed(big)},
+        [t.embed(big, unit.cover.taus) for t in deformed.h],
     )
     for c0 in sub.elements():
         if c0.is_zero():
@@ -233,13 +245,13 @@ def _specialty_expansions(deformed, k):
         c = c0.embed(big)
         cs = [c ** (d.p**i) for i in range(s)]
         base = cartier.expand_combination(
-            unit.cover, tuple(h * ci for h, ci in zip(unit.hs, cs)), slot, target
+            unit.cover, tuple(h * ci for h, ci in zip(unit.hs, cs)), slot, target, branch
         )
         if eps_unit.is_zero():
             eps = LaurentSeries(big, target + 1, [])
         else:
             eps = cartier.expand_combination(
-                unit.cover, tuple(g * ci for g, ci in zip(eps_unit.hs, cs)), slot, target
+                unit.cover, tuple(g * ci for g, ci in zip(eps_unit.hs, cs)), slot, target, branch
             )
         yield base, eps, target
 
@@ -259,19 +271,22 @@ def rigidity_check(datum):
     Kodaira-Spencer and the epsilon-part of every specialty expansion
     (``cartier.epsilon_form``, then ``expand_combination``) scale by c too,
     and a unit c changes neither a round trip nor where a series starts.
+    The branch of z at each new point (``branch_roots``) is taken once
+    and shared by every lift.
     """
     d = datum.descriptor
     n_new = len(datum.tau)
+    branches = branch_roots(datum)
     zero = (d.zero(),) * n_new
     lifted0 = lift_datum(datum, zero)
     zero_roundtrip = kodaira_spencer(lifted0) == zero
-    zero_special = all(is_j_special(lifted0, k) for k in range(n_new))
+    zero_special = all(is_j_special(lifted0, k, branches[k]) for k in range(n_new))
     directions, all_fail = [], True
     for k in range(n_new):
         unit = tuple(d.one() if j == k else d.zero() for j in range(n_new))
         lifted = lift_datum(datum, unit)
         roundtrip = kodaira_spencer(lifted) == unit
-        fails_at = [j for j in range(n_new) if not is_j_special(lifted, j)]
+        fails_at = [j for j in range(n_new) if not is_j_special(lifted, j, branches[j])]
         all_fail = all_fail and roundtrip and bool(fails_at)
         directions += [
             {"delta": [(c * v).to_json() for v in unit], "roundtrip": roundtrip,

@@ -297,7 +297,9 @@ def verify_datum(datum):
     kappa_i per level, computed once, and test c_i = F^{-1}(c_{i+1})
     kappa_i (``cartier.is_fixed_by_constants``); the phi rows live in
     F_{p^{lcm(r, s)}}, so kappa is embedded there first, as C commutes
-    with the embedding.  ``cartier.is_cartier_fixed`` is the oracle.
+    with the embedding.  ``cartier.is_cartier_fixed``, of
+    ``cartier.omega_combination`` and of ``phi_basis`` in
+    ``tests/oracles.py``, is the oracle.
     The orders of the omega_i come in closed form (``omega_orders``).
     """
     sig = datum.signature
@@ -362,7 +364,8 @@ def omega_orders(datum):
     omega_i = eps_i (1/Q) z_i dx, and 1/Q has order -1 at 0 and 1, 0 at
     the new points and 2 at infinity, so each order is read in closed
     form (``cartier.form_order``), with no rational function formed.
-    ``cartier.ord_at_critical`` of ``cartier.omega_form`` is the oracle.
+    ``ord_at_critical`` of ``omega_form``, in ``tests/oracles.py``, is
+    the oracle.
     """
     ord_inv_q = {0: -1, 1: -1, INF: 2}
     slots = critical_slots(datum.signature)

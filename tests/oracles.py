@@ -26,15 +26,23 @@ package's path in the unit suites:
   covers);
 - ``check_candidate_by_rationals`` (normalized rational functions) with
   ``search.check_candidate`` (one ``cartier.level_constant`` per level);
-- ``omega_orders_by_ord_at_critical`` (each eigenform a rational
-  function, its orders read by ``cartier.ord_at_critical``) with
-  ``search.omega_orders`` (the orders of 1/Q in closed form);
+- ``omega_orders_by_ord_at_critical`` (each eigenform ``omega_form``,
+  its orders read by ``ord_at_critical``, which expands up to the
+  Riemann-Hurwitz bound ``_order_bound`` where the terms' orders tie)
+  with ``search.omega_orders`` (the orders of 1/Q in closed form);
+- ``phi_basis`` (the F_p-rational forms phi_l as combinations) with
+  ``cartier.phi_coefficients`` and ``search.verify_datum``'s test of the
+  rows by Cartier constants;
 - ``search_field_by_full_scan`` (the candidate check on every tuple)
   with ``search.search_field`` (one check per Frobenius orbit, the
   images' lambda by Frobenius);
 - ``lift_datum_by_rationals`` (every Cartier image a normalized rational
   function, brought to a common denominator by gcds) with
-  ``deform.lift_datum`` (one fixed denominator per level);
+  ``deform.lift_datum`` (one fixed denominator per level, its cofactor
+  split as H^p R and H dropped);
+- ``epsilon_form_by_rationals`` (the derived form over normalized
+  rational functions) with ``cartier.epsilon_form`` (fractions over the
+  branch points);
 - ``rigidity_check_by_directions`` (one lift, round trip and specialty
   test per direction c e_k, c in F_q^x) with ``deform.rigidity_check``
   (one lift per unit vector e_k, the line F_q^x e_k by linearity), on
@@ -50,6 +58,7 @@ from math import gcd
 
 from defdatum import cartier, deform, homcoh, search, sigdata
 from defdatum.algebra import INF, LaurentSeries, Poly, RationalFunction
+from defdatum.cartier import BranchFraction, FormCombination
 
 
 def cochain_basis(M, n):
@@ -279,12 +288,89 @@ def check_candidate_by_rationals(sig, descriptor, tau_new):
     return lams, None
 
 
+def omega_form(datum, i):
+    """The level-i eigenform eps_i * z_i * dx / prod_{B0 finite}(x - tau).
+
+    A combination whose only nonzero level is i (mod s).
+    """
+    cover = datum.cover
+    level = i % cover.s
+    if datum.epsilon[level].is_zero():
+        raise ValueError("eigenform constants must be units")
+    hs = list(cartier.omega_combination(datum).hs)
+    zero = BranchFraction(cover.taus, Poly(cover.descriptor, []), ())
+    hs = [h if l == level else zero for l, h in enumerate(hs)]
+    return FormCombination(cover, tuple(hs))
+
+
+def phi_basis(datum):
+    """The forms phi_l of ``cartier.phi_coefficients``, as combinations."""
+    rows, field = cartier.phi_coefficients(datum)
+    cover = datum.embedded(field).cover
+    exps = (1, 1) + (0,) * (len(cover.taus) - 2)
+    return [
+        FormCombination(
+            cover, tuple(BranchFraction(cover.taus, Poly.constant(field, c), exps) for c in row)
+        )
+        for row in rows
+    ]
+
+
+def ord_at_critical(combo, center):
+    """Exact vanishing order of a combination at a critical point.
+
+    When the terms' orders ``cartier.ord_single_form`` are pairwise
+    distinct the order is their minimum; when some tie, the local
+    expansion is built once, up to the Riemann-Hurwitz bound
+    ``_order_bound``, with no retry.  The input must be nonzero.
+    """
+    if combo.is_zero():
+        raise ValueError("the zero form has no order")
+    orders = cartier._term_orders(combo.cover, combo.hs, center)
+    if len(set(orders)) == len(orders):
+        return min(orders)
+    branch = cartier.branch_root(combo.cover, center)
+    order = cartier.expand_combination(
+        combo.cover, combo.hs, center, _order_bound(combo), branch
+    ).order()
+    if order is None:
+        # only possible on a disconnected cover: the form is zero on the
+        # component through this point
+        raise ArithmeticError("the form vanishes identically at this point")
+    return order
+
+
+def _order_bound(combo):
+    """An upper bound for the order of a combination at any point above a branch.
+
+    On the smooth complete cover Z, a differential that is not zero on
+    the component C through the point P has sum_{P' in C} ord_{P'} =
+    2g_C - 2.  Above a branch Q each term has its ``ord_single_form`` at
+    every point, so ord_{P'} >= lb_Q, the least of them; over no branch
+    the terms are regular (a ``BranchFraction`` has no pole elsewhere).
+    Hence ord_P <= 2g_C - 2 + sum_Q (m/m_Q) max(0, -lb_Q), with m/m_Q
+    points above Q.  By Riemann-Hurwitz the degree-m cover has 2g - 2 =
+    -2m + sum_Q (m - m/m_Q), shared by its d = gcd(m, b_Q) isomorphic
+    components.  Raises KeyError when infinity is not a branch of the
+    cover.
+    """
+    cover = combo.cover
+    m = cover.m
+    branches = [*range(len(cover.taus)), INF]
+    sheets = {Q: m // cover.m_at(Q) for Q in branches}
+    bound = (sum(m - n for n in sheets.values()) - 2 * m) // gcd(
+        m, *(cover.orbit_at(Q)[0] for Q in branches)
+    )
+    for Q in branches:
+        bound += sheets[Q] * max(0, -min(cartier._term_orders(cover, combo.hs, Q)))
+    return bound
+
+
 def omega_orders_by_ord_at_critical(datum):
-    """``search.omega_orders`` from ``cartier.ord_at_critical`` of each
-    ``cartier.omega_form``, a normalized rational function per level."""
+    """``search.omega_orders`` from ``ord_at_critical`` of each ``omega_form``."""
     slots = search.critical_slots(datum.signature)
     return [
-        [cartier.ord_at_critical(cartier.omega_form(datum, i), key) for key in slots]
+        [ord_at_critical(omega_form(datum, i), key) for key in slots]
         for i in range(datum.signature.s)
     ]
 
@@ -352,7 +438,9 @@ def lift_datum_by_rationals(datum, delta):
     ]
     cover = datum.cover
     corrections = []
-    for i, a_i in enumerate(deform._polar_part(datum, delta)):
+    moved = {slot: delta[k] for k, (slot, _) in enumerate(deform._new_slots(datum))}
+    polar = epsilon_form_by_rationals(cartier.omega_combination(datum), INF, moved)
+    for i, a_i in enumerate(polar):
         step = cover.step_factor(i)
         images = [cartier.cartier_rational(w * step) for w in basis]
         images.append(-cartier.cartier_rational(a_i * step))
@@ -377,6 +465,31 @@ def lift_datum_by_rationals(datum, delta):
     return deform.DeformedDatum(datum, delta, tuple(corrections))
 
 
+def epsilon_form_by_rationals(combo, center, delta, thetas=None):
+    """``cartier.epsilon_form`` over normalized rational functions: the
+    levels g_l = theta_l + delta_c h_l' + h_l (1/m) sum_{k != c} (delta_c -
+    delta_k) b_k^(l) / (x - tau_k), as ``RationalFunction``s."""
+    cover = combo.cover
+    d = cover.descriptor
+    x = Poly.x(d)
+    zero = d.zero()
+    delta_c = delta.get(center, zero)
+    minv = d.element(cover.m).inverse()
+    out = []
+    for level, h in enumerate(combo.hs):
+        h = h.to_rational()
+        moved = RationalFunction(Poly(d, []), Poly.constant(d, 1))
+        for k, (tau, orbit) in enumerate(zip(cover.taus, cover.orbits)):
+            shift = delta_c - delta.get(k, zero)
+            if k != center and not shift.is_zero():
+                moved = moved + RationalFunction(
+                    Poly.constant(d, d.element(orbit[level]) * shift), x - Poly.constant(d, tau)
+                )
+        g = h * moved * minv + h.derivative() * delta_c
+        out.append(g + thetas[level].to_rational() if thetas else g)
+    return tuple(out)
+
+
 def rigidity_check_by_directions(datum):
     """``deform.rigidity_check`` with one lift per direction.
 
@@ -388,11 +501,12 @@ def rigidity_check_by_directions(datum):
     n_new = len(datum.tau)
     zero = tuple(d.zero() for _ in range(n_new))
     report = {"zero_direction_special": None, "directions": [], "rigid": None}
+    branches = deform.branch_roots(datum)
     lifted0 = deform.lift_datum(datum, zero)
     ks0 = deform.kodaira_spencer(lifted0)
     report["zero_roundtrip"] = ks0 == zero
     report["zero_direction_special"] = all(
-        deform.is_j_special(lifted0, k) for k in range(n_new)
+        deform.is_j_special(lifted0, k, branches[k]) for k in range(n_new)
     )
     directions = []
     for k in range(n_new):
@@ -406,7 +520,9 @@ def rigidity_check_by_directions(datum):
     for vec in directions:
         lifted = deform.lift_datum(datum, vec)
         roundtrip = deform.kodaira_spencer(lifted) == vec
-        fails_at = [k for k in range(n_new) if not deform.is_j_special(lifted, k)]
+        fails_at = [
+            k for k in range(n_new) if not deform.is_j_special(lifted, k, branches[k])
+        ]
         entry = {
             "delta": [v.to_json() for v in vec],
             "roundtrip": roundtrip,

@@ -9,10 +9,11 @@ import itertools
 import json
 import random
 import time
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from click.testing import CliRunner
+from oracles import omega_form, ord_at_critical, phi_basis
 
 from defdatum import cartier, deform, homcoh, search, sigdata
 from defdatum.algebra import (
@@ -105,8 +106,8 @@ def test_criterion_01_golden_datum(capsys):
         if datum.cover.radicand(0) != Poly.x(F3) * (Poly.x(F3) - Poly.constant(F3, 1)):
             failures.append("Kummer equation is not z^2 = x(x-1)")
         # omega = z dx / (x (x - 1))
-        omega = cartier.omega_form(datum, 0)
-        if omega.hs != (_rat(F3, [1], [0, 2, 1]),):
+        omega = omega_form(datum, 0)
+        if tuple(h.to_rational() for h in omega.hs) != (_rat(F3, [1], [0, 2, 1]),):
             failures.append("omega coefficient is not 1/(x(x-1))")
         checks = search.verify_datum(datum)
         if not all(checks.values()):
@@ -328,11 +329,11 @@ def test_criterion_07_order_conditions(capsys):
         for sig, field, data in scan(*key):
             slot_of = _slot_map(sig)
             for datum in data:
-                phis = cartier.phi_basis(datum)
+                phis = phi_basis(datum)
                 for j in range(sig.n_points):
                     orbit = sig.orbit(j)
                     orders = [
-                        cartier.ord_at_critical(ph, slot_of[j]) for ph in phis
+                        ord_at_critical(ph, slot_of[j]) for ph in phis
                     ]
                     if all(b == 0 for b in orbit):
                         # wild: the space has a simple pole and nothing worse
@@ -427,3 +428,59 @@ def test_criterion_10_uniqueness(capsys):
     if not seen:
         failures.append("no data collected from the scans")
     _report(capsys, 10, "uniqueness", time.perf_counter() - t0, failures)
+
+
+NESTED_RANGES = [
+    (small, large)
+    for small in SEARCH_RANGES
+    for large in SEARCH_RANGES
+    if small[:3] == large[:3] and small[3] < large[3] and large[3] % small[3] == 0
+]
+
+
+def _data_by_tau(sig, data, common):
+    """(tau key, (eps, lambda) keys) per datum, every element embedded into
+    ``common``."""
+    slot_b = [sig.points[j].b0 for j in sig.new_indices()]
+    return [
+        (
+            search._canonical_tau_key(slot_b, [t.embed(common) for t in dt.tau]),
+            (
+                tuple(e.embed(common).key() for e in dt.epsilon),
+                tuple(l.embed(common).key() for l in dt.lam),
+            ),
+        )
+        for dt in data
+    ]
+
+
+def test_criterion_10_data_agree_across_subfields(capsys):
+    # for every F_{p^r} inside F_{p^R} among the scans: each datum over the
+    # subfield, embedded, is found by the larger scan with the same eps and
+    # lambda, and each datum of the larger scan whose tau lie in the
+    # subfield is found by the smaller one
+    t0 = time.perf_counter()
+    failures = []
+    compared = 0
+    for small, large in NESTED_RANGES:
+        r = small[3]
+        for (sig, _, lo), (sig_hi, field, hi) in zip(scan(*small), scan(*large), strict=True):
+            if sig.points != sig_hi.points:
+                failures.append(f"{small} and {large} enumerate different signatures")
+                continue
+            degree = lcm(field.r, *(dt.descriptor.r for dt in lo + hi))
+            common = FieldDescriptor.get(field.p, degree)
+            lo_keyed = _data_by_tau(sig, lo, common)
+            hi_keyed = _data_by_tau(sig, hi, common)
+            for key, value in lo_keyed:
+                compared += 1
+                if dict(hi_keyed).get(key) != value:
+                    failures.append(f"{small} datum {key} differs or is missing over {large}")
+            for dt, (key, value) in zip(hi, hi_keyed):
+                if all(t ** (field.p**r) == t for t in dt.tau):
+                    compared += 1
+                    if dict(lo_keyed).get(key) != value:
+                        failures.append(f"{large} datum {key} over F_{field.p}^{r} is missing")
+    if not compared:
+        failures.append("no datum over a subfield was compared")
+    _report(capsys, 10, "uniqueness across subfields", time.perf_counter() - t0, failures)

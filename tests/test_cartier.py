@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 
+import oracles
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,9 @@ from oracles import (
     cartier_of_linear_powers,
     cartier_rational_by_powering,
     level_constant_by_full_product,
+    omega_form,
+    ord_at_critical,
+    phi_basis,
     series_at,
 )
 
@@ -24,6 +28,7 @@ from defdatum.algebra import (
     RationalFunction,
 )
 from defdatum.cartier import (
+    BranchFraction,
     FormCombination,
     KummerCover,
     cartier_combination,
@@ -35,11 +40,8 @@ from defdatum.cartier import (
     is_fixed_by_constants,
     level_constant,
     omega_combination,
-    omega_form,
-    ord_at_critical,
     epsilon_form,
     ord_single_form,
-    phi_basis,
     phi_coefficients,
     powers_of_linear_factors,
 )
@@ -53,6 +55,15 @@ def rat(descriptor, num_ints, den_ints):
     return RationalFunction(
         Poly.from_ints(descriptor, num_ints), Poly.from_ints(descriptor, den_ints)
     )
+
+
+def branch(cover, f):
+    """The rational function f as a fraction over the cover's branch points."""
+    return BranchFraction.from_rational(cover.taus, f)
+
+
+def expand(cover, hs, center, upto):
+    return expand_combination(cover, hs, center, upto, cartier.branch_root(cover, center))
 
 
 def rationals(descriptor, max_deg=3):
@@ -224,7 +235,8 @@ def test_cartier_fixes_dlog_and_kills_dx():
     f = rat(F3, [1], [0, 1])  # dx/x
     assert cartier_rational(f) == f
     # on the m = 1 cover a form is a plain rational differential
-    assert is_cartier_fixed(FormCombination(trivial_cover(F3, (F3.zero(),)), (f,)))
+    cover = trivial_cover(F3, (F3.zero(),))
+    assert is_cartier_fixed(FormCombination(cover, (branch(cover, f),)))
 
 
 @settings(max_examples=60)
@@ -325,7 +337,8 @@ def golden_datum():
 def test_golden_omega_is_cartier_fixed():
     datum = golden_datum()
     omega = omega_form(datum, 0)
-    assert omega.hs == (rat(F3, [1], [0, 2, 1]),)  # dx / (x (x - 1)) times z
+    # dx / (x (x - 1)) times z
+    assert tuple(h.to_rational() for h in omega.hs) == (rat(F3, [1], [0, 2, 1]),)
     assert is_cartier_fixed(omega)
     image = cartier_combination(omega)
     assert image.hs == omega.hs
@@ -378,7 +391,9 @@ def test_phi_basis_is_built_from_phi_coefficients():
         assert len(rows) == len(phis) == datum.signature.s
         q = datum.embedded(field).q_poly
         for row, phi in zip(rows, phis):
-            assert phi.hs == tuple(RationalFunction(Poly.constant(field, c), q) for c in row)
+            assert tuple(h.to_rational() for h in phi.hs) == tuple(
+                RationalFunction(Poly.constant(field, c), q) for c in row
+            )
 
 
 def level_image_by_cartier_rational(cover, level):
@@ -497,8 +512,9 @@ def test_fixedness_by_constants_matches_is_cartier_fixed_on_random_rows(data):
     )
     row = data.draw(st.lists(entry, min_size=big.signature.s, max_size=big.signature.s))
     kappas = [level_constant(big.cover, i) for i in range(big.signature.s)]
+    q = big.q_poly
     combo = FormCombination(
-        big.cover, tuple(RationalFunction(Poly.constant(field, c), big.q_poly) for c in row)
+        big.cover, tuple(branch(big.cover, RationalFunction(Poly.constant(field, c), q)) for c in row)
     )
     assert is_fixed_by_constants(row, kappas) == is_cartier_fixed(combo)
 
@@ -508,25 +524,35 @@ def trivial_cover(descriptor, taus):
     return KummerCover(descriptor, 1, taus, tuple((0,) for _ in taus), None)
 
 
+# 1 + x^2 = (x - 2)(x - 3) and 1 + x = x - 4 over F_5: every pole of the
+# forms below is a branch point of this cover, expanded at tau_0 = 2
+TRIVIAL_F5 = trivial_cover(F5, tuple(F5.element(t) for t in (2, 3, 4)))
+
+
 def test_expansion_matches_series_at():
     tau = F5.element(2)
-    cover = trivial_cover(F5, (tau,))
+    cover = TRIVIAL_F5
     h = rat(F5, [1, 3], [1, 0, 1])
-    ser = expand_combination(cover, (h,), 0, 6)
+    ser = expand(cover, (branch(cover, h),), 0, 6)
     oracle = series_at(h, tau, 6)
     for n in range(0, 7):
         assert ser.coeff(n) == oracle.coeff(n)
-    assert epsilon_form(FormCombination(cover, (h,)), 0, {}).is_zero()
+    assert epsilon_form(FormCombination(cover, (branch(cover, h),)), 0, {}).is_zero()
+
+
+def test_a_pole_away_from_the_branch_points_is_refused():
+    with pytest.raises(ValueError, match="pole away from the branch points"):
+        branch(trivial_cover(F5, (F5.element(2),)), rat(F5, [1], [1, 0, 1]))
 
 
 def test_expansion_dual_channel_is_the_directional_derivative():
     tau = F5.element(2)
     delta = F5.element(3)
-    cover = trivial_cover(F5, (tau,))
+    cover = TRIVIAL_F5
     h = rat(F5, [1, 3], [1, 0, 1])
-    ser = expand_combination(cover, (h,), 0, 5)
-    eps = epsilon_form(FormCombination(cover, (h,)), 0, {0: delta})
-    eps_ser = expand_combination(cover, eps.hs, 0, 5)
+    ser = expand(cover, (branch(cover, h),), 0, 5)
+    eps = epsilon_form(FormCombination(cover, (branch(cover, h),)), 0, {0: delta})
+    eps_ser = expand(cover, eps.hs, 0, 5)
     base_oracle = series_at(h, tau, 6)
     deriv_oracle = series_at(h.derivative(), tau, 6)
     for n in range(0, 6):
@@ -536,11 +562,11 @@ def test_expansion_dual_channel_is_the_directional_derivative():
 
 def test_expansion_theta_channel_is_additive():
     tau = F5.element(2)
-    cover = trivial_cover(F5, (tau,))
+    cover = TRIVIAL_F5
     h = rat(F5, [1, 3], [1, 0, 1])
     theta = rat(F5, [2], [1, 1])
-    eps = epsilon_form(FormCombination(cover, (h,)), 0, {}, (theta,))
-    eps_ser = expand_combination(cover, eps.hs, 0, 5)
+    eps = epsilon_form(FormCombination(cover, (branch(cover, h),)), 0, {}, (branch(cover, theta),))
+    eps_ser = expand(cover, eps.hs, 0, 5)
     oracle = series_at(theta, tau, 6)
     for n in range(0, 6):
         assert eps_ser.coeff(n) == oracle.coeff(n)
@@ -548,24 +574,24 @@ def test_expansion_theta_channel_is_additive():
 
 def test_expansion_of_the_zero_form_is_refused():
     cover = two_level_cover()
-    zero = rat(F3, [0], [1])
+    zero = branch(cover, rat(F3, [0], [1]))
     with pytest.raises(ValueError):
-        expand_combination(cover, (zero, zero), 0, 4)
+        expand(cover, (zero, zero), 0, 4)
 
 
 @pytest.mark.parametrize("center", [0, 1, 2, INF])
 @pytest.mark.parametrize("level", [0, 1])
 def test_honest_order_matches_closed_formula(center, level):
     cover = two_level_cover()
-    h = rat(F3, [1], [0, 2, 1])  # 1/(x(x-1))
-    zero = rat(F3, [0], [1])
+    h = branch(cover, rat(F3, [1], [0, 2, 1]))  # 1/(x(x-1))
+    zero = branch(cover, rat(F3, [0], [1]))
     form = FormCombination(cover, (h, zero) if level == 0 else (zero, h))
     assert ord_at_critical(form, center) == ord_single_form(cover, level, h, center)
 
 
 def test_order_requires_a_nonzero_form():
     cover = two_level_cover()
-    zero = rat(F3, [0], [1])
+    zero = branch(cover, rat(F3, [0], [1]))
     with pytest.raises(ValueError):
         ord_at_critical(FormCombination(cover, (zero, zero)), 0)
 
@@ -573,10 +599,71 @@ def test_order_requires_a_nonzero_form():
 def test_expansion_extends_the_field_when_needed():
     # radicand leading constant 2 at tau = 2 is not a 4th power in F_3
     cover = two_level_cover()
-    h = rat(F3, [1], [1])
-    ser = expand_combination(cover, (h, rat(F3, [0], [1])), 2, 4)
+    hs = (branch(cover, rat(F3, [1], [1])), branch(cover, rat(F3, [0], [1])))
+    ser = expand(cover, hs, 2, 4)
     assert ser.descriptor.p == 3
     assert ser.descriptor.r > 1
+
+
+# ---------------------------------------------------------------------------
+# fractions over the branch points against normalized rational functions
+
+
+@st.composite
+def branch_fractions(draw, count=2):
+    """``count`` fractions over up to four distinct points of F_5, F_7 or
+    F_9, numerators of degree <= 3 and exponents 0..3, some of them
+    written with a common factor x - tau_k (not reduced)."""
+    d = draw(st.sampled_from([F5, FieldDescriptor.get(7, 1), F9]))
+    table = list(d.elements())
+    taus = tuple(draw(st.lists(st.sampled_from(table), min_size=1, max_size=4, unique=True)))
+    out = []
+    for _ in range(count):
+        num = Poly(d, draw(st.lists(st.sampled_from(table), max_size=4)))
+        exps = draw(st.lists(st.integers(0, 3), min_size=len(taus), max_size=len(taus)))
+        f = BranchFraction(taus, num, exps)
+        k = draw(st.sampled_from(range(len(taus))))
+        if draw(st.booleans()):
+            common = [int(j == k) for j in range(len(taus))]
+            f = f * BranchFraction(taus, cartier._linear_power(d, taus[k], 1), common)
+        out.append(f)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(branch_fractions())
+def test_branch_fraction_arithmetic_matches_rational_functions(fs):
+    a, b = fs
+    ra, rb = a.to_rational(), b.to_rational()
+    d = a.num.descriptor
+    c = d.generator() + d.one()
+    assert (a + b).to_rational() == ra + rb
+    assert (a * b).to_rational() == ra * rb
+    assert (a * c).to_rational() == ra * c
+    assert a.derivative().to_rational() == ra.derivative()
+    assert (a == b) == (ra == rb)
+    assert a == BranchFraction.from_rational(a.taus, ra)
+    for k in range(len(a.taus)):
+        assert a.reduced_at(k).to_rational() == ra
+    big = FieldDescriptor.get(d.p, 2 * d.r)
+    assert a.embed(big, tuple(t.embed(big) for t in a.taus)).to_rational() == ra.embed(big)
+
+
+@settings(max_examples=60, deadline=None)
+@given(branch_fractions(count=1))
+def test_branch_fraction_order_and_residue_match_the_expansion(fs):
+    (a,) = fs
+    ra = a.to_rational()
+    assume(not a.is_zero())
+    assert a.order(INF) == ra.ord_at(INF)
+    for k, tau in enumerate(a.taus):
+        assert a.order(k) == ra.ord_at(tau)
+        if a.order(k) < -1:
+            with pytest.raises(ValueError):
+                a.simple_residue(k)
+        else:
+            upto = max(-1, a.order(k))
+            assert a.simple_residue(k) == series_at(ra, tau, upto).coeff(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +836,24 @@ EXPANSION_COVERS = [
 ]
 
 
+def branch_rationals(cover, max_deg=2):
+    """Rational functions of degree <= max_deg whose poles are branch points."""
+    d = cover.descriptor
+    table = list(d.elements())
+    nums = st.lists(st.sampled_from(table), min_size=1, max_size=max_deg + 1)
+    exps = st.lists(
+        st.integers(0, max_deg), min_size=len(cover.taus), max_size=len(cover.taus)
+    ).filter(lambda es: sum(es) <= max_deg)
+    return st.tuples(nums, exps).map(
+        lambda ne: BranchFraction(cover.taus, Poly(d, ne[0]), ne[1]).to_rational()
+    )
+
+
 @st.composite
 def expansion_cases(draw):
     cover = draw(st.sampled_from(EXPANSION_COVERS))
     d = cover.descriptor
-    levels = st.tuples(*[rationals(d, max_deg=2)] * cover.s)
+    levels = st.tuples(*[branch_rationals(cover)] * cover.s)
     hs = draw(levels)
     eps_hs = draw(st.none() | levels)
     center = draw(st.sampled_from([0, 1, 2, INF]))
@@ -773,19 +873,21 @@ def test_valuation_window_matches_heuristic_window(case):
     # both channels through upto: the base expansion and the expansion of
     # the derived form, against the dual-number reference
     cover, hs, center, delta, eps_hs, extra = case
-    orders = cartier._term_orders(cover, hs, center) + cartier._term_orders(
-        cover, eps_hs or (), center
+    branch_hs = tuple(branch(cover, h) for h in hs)
+    branch_eps = tuple(branch(cover, h) for h in eps_hs) if eps_hs else None
+    orders = cartier._term_orders(cover, branch_hs, center) + cartier._term_orders(
+        cover, branch_eps or (), center
     )
     assume(orders)
     upto = min(orders) + extra
     oracle = heuristic_window_expansion(cover, hs, center, upto, delta, eps_hs)
-    combo = FormCombination(cover, hs)
-    eps = epsilon_form(combo, center, delta or {}, eps_hs)
+    combo = FormCombination(cover, branch_hs)
+    eps = epsilon_form(combo, center, delta or {}, branch_eps)
     for form, channel in ((combo, oracle.base), (eps, oracle.eps)):
         if form.is_zero():
             assert all(not channel.coeff(n) for n in range(channel.start, upto + 1))
             continue
-        ser = expand_combination(cover, form.hs, center, upto)
+        ser = expand(cover, form.hs, center, upto)
         assert ser.descriptor == oracle.descriptor
         assert ser.window()[1] >= upto
         for n in range(min(ser.start, channel.start), upto + 1):
@@ -805,7 +907,7 @@ def branch_supported_combinations(draw):
         den = Poly.constant(d, 1)
         for tau in cover.taus:
             den = den * (x - Poly.constant(d, tau)) ** draw(st.integers(0, 2))
-        hs.append(RationalFunction(num, den))
+        hs.append(branch(cover, RationalFunction(num, den)))
     return FormCombination(cover, tuple(hs)), draw(st.sampled_from([0, 1, 2, INF]))
 
 
@@ -813,7 +915,9 @@ def branch_supported_combinations(draw):
 @given(branch_supported_combinations())
 # the two terms cancel at their common order -2 at infinity: the order, -1,
 # is read only because the bound counts the terms' poles at 0 and 2
-@example((FormCombination(two_level_cover(), (rat(F3, [2, 2], [0, 0, 1]), rat(F3, [2, 1], [0, 1, 1]))), INF))
+@example((FormCombination(two_level_cover(), tuple(
+    branch(two_level_cover(), h) for h in (rat(F3, [2, 2], [0, 0, 1]), rat(F3, [2, 1], [0, 1, 1]))
+)), INF))
 def test_order_matches_wide_expansion(case):
     # distinct closed-form orders give the minimum with no expansion; ties
     # are read up to the Riemann-Hurwitz bound; both against the old window
@@ -821,29 +925,33 @@ def test_order_matches_wide_expansion(case):
     assume(not combo.is_zero())
     got = ord_at_critical(combo, center)
     upto = max(cartier._term_orders(combo.cover, combo.hs, center)) + 12
-    wide = heuristic_window_expansion(combo.cover, combo.hs, center, upto)
+    wide = heuristic_window_expansion(
+        combo.cover, tuple(h.to_rational() for h in combo.hs), center, upto
+    )
     assert got == wide.base.order()
 
 
 def test_each_expansion_is_built_once(monkeypatch):
     calls = {"expand_combination": 0, "_expand": 0, "_order_bound": 0}
 
-    def counted(name):
-        original = getattr(cartier, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cartier, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("expand_combination")
-    counted("_expand")
-    counted("_order_bound")
+    counted(cartier, "expand_combination")
+    counted(cartier, "_expand")
+    counted(oracles, "_order_bound")
     datum = two_level_datum()
     deform.rigidity_check(datum)  # moving centers, theta channels, two levels
     # a branch constant that needs F_9
-    cartier.expand_combination(two_level_cover(), (rat(F3, [1], [1]), rat(F3, [0], [1])), 2, 4)
+    cover = two_level_cover()
+    hs = (branch(cover, rat(F3, [1], [1])), branch(cover, rat(F3, [0], [1])))
+    cartier.expand_combination(cover, hs, 2, 4, cartier.branch_root(cover, 2))
     for ph in phi_basis(datum):
         for center in (0, 1, 2, INF):
             ord_at_critical(ph, center)

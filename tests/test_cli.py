@@ -521,6 +521,16 @@ def test_cohomology_budget_too_small_is_a_usage_error(runner, budget):
             id="rigidity-two-new-points",
         ),
         pytest.param(
+            "rigidity-p5-m2-points4-r3",
+            "rigidity --p 5 --m 2 --points 4 --r 3",
+            id="rigidity-f125",
+        ),
+        pytest.param(
+            "rigidity-p5-m4-points4-r1",
+            "rigidity --p 5 --m 4 --points 4 --r 1",
+            id="rigidity-branch-constant-in-an-extension",
+        ),
+        pytest.param(
             "enumerate-p2-m11-points5",
             "enumerate --p 2 --m 11 --points 5",
             id="enumerate-s10",
@@ -549,8 +559,11 @@ def test_cohomology_document_matches_golden(runner, golden, args):
     # g^p // g rather than by the p-th-power split, the F_121 search
     # document (two new points, levels whose cofactor S has degree 2) by
     # the level test C(u) Q = kappa g with C(u) = H C(R) and g formed in
-    # full, and its orders by ord_at_critical; "versions" holds the Python
-    # version, so it is taken from this run
+    # full, and its orders by ord_at_critical, the F_125 rigidity document
+    # and the m = 4 one (branch constants in an extension of F_5) by
+    # normalized rational functions with one gcd per form, a lift over
+    # U_i = N_i D_i^(p-1) and the branch root taken afresh per expansion;
+    # "versions" holds the Python version, so it is taken from this run
     golden = DATA / f"{golden}.json"
     res = invoke(runner, *args.split())
     assert res.exit_code == 0

@@ -5,10 +5,15 @@ import functools
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import lift_datum_by_rationals, rigidity_check_by_directions, series_at
+from oracles import (
+    epsilon_form_by_rationals,
+    lift_datum_by_rationals,
+    rigidity_check_by_directions,
+    series_at,
+)
 
 from defdatum import cartier, deform, search, sigdata
-from defdatum.algebra import FieldDescriptor, Poly, RationalFunction
+from defdatum.algebra import INF, FieldDescriptor, Poly, RationalFunction
 from defdatum.deform import (
     is_j_special,
     kodaira_spencer,
@@ -72,7 +77,7 @@ def test_lifted_eps_part_is_in_the_cartier_kernel():
     cover = datum.cover
     for i in range(cover.s):
         total = deform._polar_part(datum, delta)[i] + lifted.h[i]
-        image = cartier.cartier_rational(total * cover.step_factor(i))
+        image = cartier.cartier_rational(total.to_rational() * cover.step_factor(i))
         assert image.is_zero()
 
 
@@ -103,7 +108,8 @@ def test_lift_matches_the_rational_oracle(config, data):
     datum = data.draw(st.sampled_from(lift_data(*config)))
     elems = list(datum.descriptor.elements())
     delta = tuple(data.draw(st.sampled_from(elems)) for _ in datum.tau)
-    assert lift_datum(datum, delta).h == lift_datum_by_rationals(datum, delta).h
+    lifted = lift_datum(datum, delta).h
+    assert tuple(h.to_rational() for h in lifted) == lift_datum_by_rationals(datum, delta).h
 
 
 @pytest.mark.parametrize("config", LIFT_CONFIGS, ids=lambda c: ",".join(map(str, c)))
@@ -119,6 +125,43 @@ def test_lift_and_kodaira_spencer_are_linear_in_delta(config, data):
     scaled = lift_datum(datum, tuple(c * v for v in delta))
     assert scaled.h == tuple(h * c for h in lifted.h)
     assert kodaira_spencer(scaled) == tuple(c * v for v in kodaira_spencer(lifted))
+
+
+@pytest.mark.parametrize("config", LIFT_CONFIGS, ids=lambda c: ",".join(map(str, c)))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_epsilon_form_matches_the_rational_oracle(config, data):
+    # the derived form at a new point (its own shift, the lift's theta) and
+    # at infinity (the polar part), against normalized rational functions
+    datum = data.draw(st.sampled_from(lift_data(*config)))
+    elems = list(datum.descriptor.elements())
+    delta = tuple(data.draw(st.sampled_from(elems)) for _ in datum.tau)
+    lifted = lift_datum(datum, delta)
+    omega = cartier.omega_combination(datum)
+    moved = {2 + k: v for k, v in enumerate(delta)}
+    k = data.draw(st.sampled_from(range(len(datum.tau))))
+    for center, shifts, thetas in ((INF, moved, None), (2 + k, {2 + k: delta[k]}, lifted.h)):
+        got = cartier.epsilon_form(omega, center, shifts, thetas).hs
+        assert tuple(g.to_rational() for g in got) == epsilon_form_by_rationals(
+            omega, center, shifts, thetas
+        )
+
+
+@pytest.mark.parametrize("make", [p3_two_level_datum, lambda: lift_data(7, 2, 5, 1)[0]],
+                         ids=["two-level", "two-new-points"])
+def test_rigidity_takes_no_gcd_and_no_polynomial_division(make, monkeypatch):
+    # every form is a numerator over known branch-point exponents: no
+    # normalized rational function, no gcd and no Poly division in a round
+    datum = make()
+    expected = rigidity_check_by_directions(datum)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gcd, polynomial division or a normalized rational function")
+
+    monkeypatch.setattr(Poly, "__divmod__", refuse)
+    monkeypatch.setattr(Poly, "gcd", refuse)
+    monkeypatch.setattr(RationalFunction, "__init__", refuse)
+    assert rigidity_check(datum) == expected
 
 
 # every LIFT_CONFIGS entry with q <= 25, the two-new-point (7, 2, 5, 1)
@@ -164,7 +207,8 @@ def test_lift_along_any_direction_fails_specialty(config, data):
     delta = tuple(data.draw(st.sampled_from(elems)) for _ in datum.tau)
     assume(any(not v.is_zero() for v in delta))
     lifted = lift_datum(datum, delta)
-    assert any(not is_j_special(lifted, j) for j in range(len(datum.tau)))
+    branches = deform.branch_roots(datum)
+    assert any(not is_j_special(lifted, j, branches[j]) for j in range(len(datum.tau)))
 
 
 @pytest.mark.parametrize("config", LIFT_CONFIGS, ids=lambda c: ",".join(map(str, c)))
@@ -178,10 +222,11 @@ def test_closed_form_residue_matches_the_expansion(config):
             directions.append(tuple(d.one() if j == k else d.zero() for j in range(n_new)))
         for delta in directions:
             for h in lift_datum(datum, delta).h:
-                for tau in datum.tau:
-                    upto = -1 if h.is_zero() else max(-1, h.ord_at(tau))
-                    expected = series_at(h, tau, upto).coeff(-1)
-                    assert deform._simple_residue(h, tau) == expected
+                for k, tau in enumerate(datum.tau):
+                    f = h.to_rational()
+                    upto = -1 if f.is_zero() else max(-1, f.ord_at(tau))
+                    expected = series_at(f, tau, upto).coeff(-1)
+                    assert h.simple_residue(2 + k) == expected
                     poles += not expected.is_zero()
     assert poles
 
@@ -202,7 +247,7 @@ def test_polar_part_matches_its_closed_form(make):
                 Poly.constant(d, b * delta[k]), x - Poly.constant(d, datum.tau[k])
             )
         scale = -(datum.epsilon[i] * d.element(sig.m).inverse())
-        assert a_i == total * RationalFunction(Poly.constant(d, scale), datum.q_poly)
+        assert a_i.to_rational() == total * RationalFunction(Poly.constant(d, scale), datum.q_poly)
 
 
 def test_lift_rejects_wrong_delta_length():
@@ -229,13 +274,13 @@ def test_lift_requires_purity():
 def test_specialty_along_the_zero_direction():
     datum = p5_datum()
     lifted = lift_datum(datum, (F5.element(0),))
-    assert is_j_special(lifted, 0)
+    assert is_j_special(lifted, 0, deform.branch_roots(datum)[0])
 
 
 def test_specialty_fails_along_nonzero_directions():
     datum = p5_datum()
     lifted = lift_datum(datum, (F5.element(1),))
-    assert not is_j_special(lifted, 0)
+    assert not is_j_special(lifted, 0, deform.branch_roots(datum)[0])
 
 
 def weakened_is_j_special(deformed, k):
@@ -243,7 +288,9 @@ def weakened_is_j_special(deformed, k):
     M, ignoring the nilpotent (epsilon) coefficients below it."""
     return all(
         base.order() == target
-        for base, eps, target in deform._specialty_expansions(deformed, k)
+        for base, eps, target in deform._specialty_expansions(
+            deformed, k, deform.branch_roots(deformed.base)[k]
+        )
     )
 
 
@@ -253,7 +300,7 @@ def test_weakened_specialty_is_blind_to_the_deformation():
     datum = p5_datum()
     lifted = lift_datum(datum, (F5.element(1),))
     assert weakened_is_j_special(lifted, 0)
-    assert not is_j_special(lifted, 0)
+    assert not is_j_special(lifted, 0, deform.branch_roots(datum)[0])
 
 
 def test_rigidity_p5():

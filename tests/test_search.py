@@ -12,6 +12,7 @@ from oracles import (
     check_candidate_by_rationals,
     level_constant_by_full_product,
     omega_orders_by_ord_at_critical,
+    phi_basis,
     search_field_by_full_scan,
 )
 
@@ -265,6 +266,19 @@ def test_search_matches_the_full_scan(p, m, points, r):
     assert_search_matches_the_full_scan(p, m, points, r)
 
 
+def test_every_scanned_omega_is_cartier_fixed():
+    # the benchmark's scan check: the general Cartier test, through
+    # normalized rational functions, on omega of every datum found
+    data = [
+        datum
+        for p, m, points, r in SCAN_CONFIGS
+        for sig in sigdata.enumerate_signatures(p, m, points)
+        for datum in search_field(sig, FieldDescriptor.get(p, r))
+    ]
+    assert len(data) == 18
+    assert all(cartier.is_cartier_fixed(cartier.omega_combination(dt)) for dt in data)
+
+
 SCAN_SIGNATURES = [
     (FieldDescriptor.get(p, r), sig)
     for p, m, points, r in SCAN_CONFIGS
@@ -419,7 +433,7 @@ def assert_verdicts_match_the_oracles(datum):
     checks = verify_datum(datum)
     assert search.omega_orders(datum) == omega_orders_by_ord_at_critical(datum)
     assert checks["cartier_fixed"] == cartier.is_cartier_fixed(cartier.omega_combination(datum))
-    phis = cartier.phi_basis(datum)
+    phis = phi_basis(datum)
     assert checks["phi_fixed"] == all(cartier.is_cartier_fixed(ph) for ph in phis)
     return checks
 

@@ -1,8 +1,7 @@
 """Exact arithmetic over F_{p^r} and its function field in one variable.
 
 Provides finite field towers with canonical moduli, dense univariate
-polynomials, normalized rational functions, and truncated Laurent
-series.
+polynomials and truncated Laurent series.
 
 Serialization of a field element is
 ``{"p": p, "r": r, "modulus": [c0..cr], "coeffs": [a0..a_{r-1}]}``
@@ -531,14 +530,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.lead == 1
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * self.lead.inverse()
-
     def coerce(self, other):
         if isinstance(other, Poly):
             if other.descriptor != self.descriptor:
@@ -593,31 +584,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        other = self.coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        zero = self.descriptor.zero()
-        r = list(self.coeffs)
-        db = other.degree
-        if self.degree < db:
-            return Poly(self.descriptor, []), self
-        inv = other.lead.inverse()
-        q = [zero] * (self.degree - db + 1)
-        for i in range(self.degree - db, -1, -1):
-            c = r[i + db] * inv
-            if c:
-                q[i] = c
-                for j, bc in enumerate(other.coeffs):
-                    r[i + j] = r[i + j] - c * bc
-        return Poly(self.descriptor, q), Poly(self.descriptor, r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
@@ -629,12 +595,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def gcd(self, other):
-        a, b = self, self.coerce(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
 
     def evaluate(self, x):
         x = self.descriptor.element(x)
@@ -648,18 +608,6 @@ class Poly:
             self.descriptor,
             [self.descriptor.element(k) * c for k, c in enumerate(self.coeffs)][1:],
         )
-
-    def multiplicity_at(self, xi):
-        """Multiplicity of the root xi (0 if not a root)."""
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        lin = Poly(self.descriptor, [-self.descriptor.element(xi), self.descriptor.one()])
-        f, n = self, 0
-        while True:
-            q, rem = divmod(f, lin)
-            if not rem.is_zero():
-                return n
-            f, n = q, n + 1
 
     def map_coefficients(self, fn, target=None):
         target = target or self.descriptor
@@ -691,156 +639,6 @@ class Poly:
             if c:
                 terms.append(f"({c!r})*x^{k}" if k else f"({c!r})")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-class RationalFunction:
-    """Quotient of polynomials, kept coprime with a monic denominator."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator, denominator):
-        if isinstance(numerator, Poly) and isinstance(denominator, Poly):
-            pass
-        else:
-            raise TypeError("numerator and denominator must be Poly")
-        if denominator.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if numerator.descriptor != denominator.descriptor:
-            raise ValueError("field mismatch")
-        if numerator.is_zero():
-            num = numerator
-            den = Poly.constant(denominator.descriptor, 1)
-        else:
-            g = numerator.gcd(denominator)
-            num = numerator // g
-            den = denominator // g
-            c = den.lead.inverse()
-            num, den = num * c, den * c
-        self.numerator = num
-        self.denominator = den
-
-    @property
-    def descriptor(self):
-        return self.numerator.descriptor
-
-    @staticmethod
-    def from_poly(poly):
-        return RationalFunction(poly, Poly.constant(poly.descriptor, 1))
-
-    @staticmethod
-    def constant(descriptor, value):
-        return RationalFunction.from_poly(Poly.constant(descriptor, value))
-
-    def is_zero(self):
-        return self.numerator.is_zero()
-
-    def __bool__(self):
-        return bool(self.numerator)
-
-    def coerce(self, other):
-        if isinstance(other, RationalFunction):
-            if other.descriptor != self.descriptor:
-                raise ValueError("field mismatch")
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction.from_poly(other)
-        if isinstance(other, (int, FieldElement)):
-            return RationalFunction.constant(self.descriptor, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.numerator, self.denominator)
-
-    def __sub__(self, other):
-        other = self.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(
-            self.numerator * other.denominator, self.denominator * other.numerator
-        )
-
-    def __rtruediv__(self, other):
-        return self.coerce(other) / self
-
-    def __pow__(self, e):
-        if e < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.denominator, self.numerator) ** (-e)
-        return RationalFunction(self.numerator**e, self.denominator**e)
-
-    def derivative(self):
-        return RationalFunction(
-            self.numerator.derivative() * self.denominator
-            - self.numerator * self.denominator.derivative(),
-            self.denominator * self.denominator,
-        )
-
-    def evaluate(self, x):
-        d = self.denominator.evaluate(x)
-        if d.is_zero():
-            raise ZeroDivisionError("pole at evaluation point")
-        return self.numerator.evaluate(x) / d
-
-    def ord_at(self, xi):
-        """Valuation at a point of P^1 (INF for the point at infinity)."""
-        if self.is_zero():
-            raise ValueError("the zero function has no valuation")
-        if xi is INF:
-            return self.denominator.degree - self.numerator.degree
-        return self.numerator.multiplicity_at(xi) - self.denominator.multiplicity_at(xi)
-
-    def embed(self, target):
-        return RationalFunction(self.numerator.embed(target), self.denominator.embed(target))
-
-    def to_json(self):
-        return {"num": self.numerator.to_json(), "den": self.denominator.to_json()}
-
-    def __eq__(self, other):
-        other = self.coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (
-            self.numerator == other.numerator and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
-
-    def __repr__(self):
-        return f"({self.numerator!r})/({self.denominator!r})"
 
 
 class LaurentSeries:

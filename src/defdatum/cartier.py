@@ -5,9 +5,8 @@ one level i per Frobenius step of the exponent orbit (a single eigenform
 has one nonzero level).  Each h_i is a ``BranchFraction``, a numerator
 over known powers of the x - tau_j at the finite branch points, so no
 form on the way to an expansion or a residue is reduced by a gcd.  The
-general Cartier test ``is_cartier_fixed`` takes normalized rational
-functions (``cartier_rational``) and is the oracle of the fast paths.
-The operator sends
+Cartier operator on a fraction is one p-th-power split of its exponents
+(``cartier_fraction``), with no gcd and no division.  The operator sends
 level i+1 to level i via z_{i+1} = z_i^p * prod (x-tau_j)^{e_j} with
 integer exponents e_j = (b^(i+1) - p b^(i))/m; the root-of-unity
 ambiguity in that relation is fixed as 1 (any other choice is absorbed
@@ -50,14 +49,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from operator import add
+from operator import add, sub
 
 from .algebra import (
     INF,
     FieldDescriptor,
     LaurentSeries,
     Poly,
-    RationalFunction,
     nth_root_with_extension,
 )
 from .homcoh import rank_mod_p
@@ -79,35 +77,16 @@ def cartier_poly(u):
     return Poly(d, [c.frobenius_inverse() if c else zero for c in u.coeffs[d.p - 1 :: d.p]])
 
 
-def frobenius_cofactor(g):
-    """g^{p-1} for a polynomial g, as the exact quotient g^p // g.
+def split_exponents(exponents, p):
+    """The p-th-power split: (q, r) with n_j = p q_j + r_j, 0 <= r_j < p.
 
-    In characteristic p, Frobenius is additive: g^p = sum c_k^p x^{pk}
-    takes no product, only the p-th powers of the coefficients.  Its
-    caller is ``cartier_rational``, whose denominator is not split into
-    linear factors; ``level_constant`` and ``deform.lift_datum`` split
-    u = N g^{p-1} into linear powers and form neither g nor g^{p-1}.
+    For exponents n_j of either sign, prod (x - tau_j)^{n_j} = H^p R with
+    H = prod (x - tau_j)^{q_j} and the polynomial R = prod (x -
+    tau_j)^{r_j}, and C(P H^p R dx) = H C(P R dx), since C is
+    p^{-1}-linear (Manin).
     """
-    d = g.descriptor
-    p = d.p
-    gp = [d.zero()] * (p * g.degree + 1)
-    for k, c in enumerate(g.coeffs):
-        gp[p * k] = c.frobenius()
-    return Poly(d, gp) // g
-
-
-def cartier_rational(f):
-    """C(f dx) for a rational function f = N/g, g monic.
-
-    f dx = (N g^{p-1} / g^p) dx and C(h^p w) = h C(w), so
-    C(f dx) = C(N g^{p-1}) / g dx (``cartier_poly``).  The factor
-    g^{p-1} is g^p // g (``frobenius_cofactor``), one exact division,
-    since g^p = sum c_k^p x^{pk} in characteristic p.
-    """
-    if f.is_zero():
-        return f
-    g = f.denominator
-    return RationalFunction.from_poly(cartier_poly(f.numerator * frobenius_cofactor(g))) / g
+    pairs = [divmod(n, p) for n in exponents]
+    return [q for q, _ in pairs], [r for _, r in pairs]
 
 
 def _linear_power(descriptor, tau, e):
@@ -152,18 +131,6 @@ def _product_of_linear_powers(descriptor, taus, exponents):
     return Poly.constant(descriptor, 1) if out is None else out
 
 
-def powers_of_linear_factors(descriptor, taus, exponents):
-    """(N, g), monic, with prod (x - tau_j)^{e_j} = N/g.
-
-    N takes the factors with e_j > 0 and g those with e_j < 0, so N/g is
-    in lowest terms when the tau_j are distinct.
-    """
-    return (
-        _product_of_linear_powers(descriptor, taus, exponents),
-        _product_of_linear_powers(descriptor, taus, [-e for e in exponents]),
-    )
-
-
 def _divide_out(poly, tau, limit):
     """(poly / (x - tau)^k, k) for the largest k <= limit with (x - tau)^k | poly.
 
@@ -196,8 +163,6 @@ class BranchFraction:
     is the logarithmic one.  P may share factors x - tau_k with the
     denominator; the order at tau_c is then the multiplicity of tau_c in
     P minus e_c, and equality brings both sides to the larger exponents.
-    ``from_rational`` and ``to_rational`` convert at the boundary with
-    ``RationalFunction``.
     """
 
     __slots__ = ("taus", "num", "exps")
@@ -206,19 +171,6 @@ class BranchFraction:
         self.taus = taus
         self.num = num
         self.exps = tuple(exps) if num.coeffs else (0,) * len(taus)
-
-    @staticmethod
-    def from_rational(taus, f):
-        """f over the branch points ``taus``; ValueError for a pole elsewhere."""
-        den = f.denominator
-        exps = [den.multiplicity_at(t) for t in taus]
-        if sum(exps) != den.degree:
-            raise ValueError("the form has a pole away from the branch points")
-        return BranchFraction(tuple(taus), f.numerator, exps)
-
-    def to_rational(self):
-        d = self.num.descriptor
-        return RationalFunction(self.num, _product_of_linear_powers(d, self.taus, self.exps))
 
     def is_zero(self):
         return not self.num.coeffs
@@ -325,6 +277,25 @@ class BranchFraction:
 
     def __repr__(self):
         return f"BranchFraction({self.num!r} / {self.exps})"
+
+
+def cartier_fraction(f, shift):
+    """C(f prod (x - tau_j)^{shift_j} dx)/dx for a fraction f = P / prod (x - tau_j)^{e_j}.
+
+    The form is P prod (x - tau_j)^{n_j} dx with n_j = shift_j - e_j, and
+    the split n_j = p q_j + r_j (``split_exponents``) makes its image H
+    C(P R dx): the polynomial C(P R dx)/dx (``cartier_poly``) times the
+    x - tau_j with q_j > 0, over the x - tau_j with q_j < 0.  No gcd and
+    no division.
+    """
+    d = f.num.descriptor
+    quotients, remainders = split_exponents(map(sub, shift, f.exps), d.p)
+    image = cartier_poly(f.num * _product_of_linear_powers(d, f.taus, remainders))
+    return BranchFraction(
+        f.taus,
+        image * _product_of_linear_powers(d, f.taus, quotients),
+        [max(-q, 0) for q in quotients],
+    )
 
 
 def cartier_of_small_powers(descriptor, taus, exponents):
@@ -502,7 +473,7 @@ class KummerCover:
     def radicand(self, level):
         """prod (x - tau_j)^{b_j^{(level)}} as a polynomial."""
         exponents = [orbit[level % self.s] for orbit in self.orbits]
-        return powers_of_linear_factors(self.descriptor, self.taus, exponents)[0]
+        return _product_of_linear_powers(self.descriptor, self.taus, exponents)
 
     def step_exponents(self, level):
         """e_j with z_level = z_{level-1}^p * prod (x-tau_j)^{e_j}."""
@@ -516,12 +487,6 @@ class KummerCover:
                 raise ValueError("exponent orbit violates the Frobenius relation")
             out.append(e)
         return tuple(out)
-
-    def step_factor(self, level):
-        """prod (x - tau_j)^{e_j} as a rational function."""
-        return RationalFunction(
-            *powers_of_linear_factors(self.descriptor, self.taus, self.step_exponents(level))
-        )
 
     def embed(self, target):
         return KummerCover(
@@ -560,23 +525,22 @@ class FormCombination:
 
 
 def cartier_combination(combo):
-    """C of the combination, each level a normalized rational function
-    through ``cartier_rational``: the level-l image has poles only where
-    h_l and the step factor have them, at the branch points."""
+    """C of the combination: level l goes to level l - 1 through
+    ``cartier_fraction`` with the step exponents of z_l = z_{l-1}^p
+    prod (x - tau_j)^{e_j}."""
     cover = combo.cover
     out = [None] * cover.s
     for level, h in enumerate(combo.hs):
-        image = cartier_rational(h.to_rational() * cover.step_factor(level))
-        out[(level - 1) % cover.s] = BranchFraction.from_rational(cover.taus, image)
+        out[(level - 1) % cover.s] = cartier_fraction(h, cover.step_exponents(level))
     return FormCombination(cover, tuple(out))
 
 
 def is_cartier_fixed(combo):
     """True iff the Cartier operator returns the combination exactly.
 
-    The general test, for any coefficients, each level through
-    ``cartier_rational``; ``search.verify_datum`` tests its constant
-    coefficients by ``is_fixed_by_constants``, and this is the oracle.
+    The general test, for any coefficients; ``search.verify_datum`` tests
+    its constant coefficients by ``is_fixed_by_constants``, and this is
+    the oracle.
     """
     return cartier_combination(combo) == combo
 

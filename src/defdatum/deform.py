@@ -126,12 +126,11 @@ def lift_datum(datum, delta):
         if any(e > 1 for e in a_i.exps):
             raise ArithmeticError(f"level {i}: the polar part is not over Q N")
         # E_j = e_j + (p - 1) where N_i has x - tau_j to the e_j >= 0, and
-        # (p - 1)(1 - e_j) where g_i has it to the -e_j > 0
-        r, _ = cartier.powers_of_linear_factors(
-            d, taus, [(e + p - 1 if e >= 0 else (p - 1) * (1 - e)) % p
-                      for e in cover.step_exponents(i)]
-        )
-        cofactor, _ = cartier.powers_of_linear_factors(d, taus, [1 - e for e in a_i.exps])
+        # (p - 1)(1 - e_j) where g_i has it to the -e_j > 0: either way
+        # E_j = e_j - 1 mod p, the exponent of x - tau_j in step_i/(Q N)
+        _, remainders = cartier.split_exponents([e - 1 for e in cover.step_exponents(i)], p)
+        r = cartier._product_of_linear_powers(d, taus, remainders)
+        cofactor = cartier._product_of_linear_powers(d, taus, [1 - e for e in a_i.exps])
         rhs = -cartier.cartier_poly(a_i.num * cofactor * r)
         images = [
             cartier.cartier_poly(Poly(d, [zero] * k + list(r.coeffs)))

@@ -16,8 +16,13 @@ package's path in the unit suites:
 - ``validate_signature_by_fractions`` (the slope identities in
   Fractions) with ``sigdata.validate_signature`` (the same identities
   times m, in integers);
+- ``cartier_rational`` (C(N g^(p-1))/g on a ``RationalFunction``, kept
+  coprime by ``poly_gcd``, g^(p-1) as g^p // g by ``poly_divmod``) with
+  ``cartier.cartier_fraction`` (the p-th-power split of known
+  branch-point exponents), and ``is_cartier_fixed_by_rationals`` (every
+  level through ``cartier_rational``) with ``cartier.is_cartier_fixed``;
 - ``cartier_rational_by_powering`` (g^(p-1) by repeated squaring) with
-  ``cartier.cartier_rational`` (g^p // g);
+  ``cartier_rational`` (g^p // g);
 - ``cartier_of_linear_powers`` (H C(R), the p-th-power split with H
   multiplied in) with the Cartier image of the product multiplied out;
 - ``level_constant_by_full_product`` (the identity C(u) Q = kappa g,
@@ -57,7 +62,7 @@ import itertools
 from math import gcd
 
 from defdatum import cartier, deform, homcoh, search, sigdata
-from defdatum.algebra import INF, LaurentSeries, Poly, RationalFunction
+from defdatum.algebra import INF, FieldElement, LaurentSeries, Poly
 from defdatum.cartier import BranchFraction, FormCombination
 
 
@@ -210,6 +215,258 @@ def validate_signature_by_fractions(sig):
     return sigdata.ValidationReport(tuple(fails))
 
 
+# ---------------------------------------------------------------------------
+# normalized rational functions: the reference form type of the Cartier
+# operator, its gcd and its polynomial division
+
+
+def poly_divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, by long division."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    d = a.descriptor
+    db = b.degree
+    if a.degree < db:
+        return Poly(d, []), a
+    r = list(a.coeffs)
+    q = [d.zero()] * (a.degree - db + 1)
+    inv = b.lead.inverse()
+    for i in range(a.degree - db, -1, -1):
+        c = r[i + db] * inv
+        if c:
+            q[i] = c
+            for j, bc in enumerate(b.coeffs):
+                r[i + j] = r[i + j] - c * bc
+    return Poly(d, q), Poly(d, r)
+
+
+def poly_gcd(a, b):
+    """The monic gcd of a and b (0 when both are 0), by Euclid's algorithm."""
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    return a * a.lead.inverse() if not a.is_zero() else a
+
+
+def multiplicity_at(f, xi):
+    """Multiplicity of the root xi of a nonzero polynomial (0 if not a root)."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    d = f.descriptor
+    lin = Poly(d, [-d.element(xi), d.one()])
+    n = 0
+    while True:
+        q, rem = poly_divmod(f, lin)
+        if not rem.is_zero():
+            return n
+        f, n = q, n + 1
+
+
+class RationalFunction:
+    """Quotient of polynomials, kept coprime with a monic denominator."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator, denominator):
+        if isinstance(numerator, Poly) and isinstance(denominator, Poly):
+            pass
+        else:
+            raise TypeError("numerator and denominator must be Poly")
+        if denominator.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if numerator.descriptor != denominator.descriptor:
+            raise ValueError("field mismatch")
+        if numerator.is_zero():
+            num = numerator
+            den = Poly.constant(denominator.descriptor, 1)
+        else:
+            g = poly_gcd(numerator, denominator)
+            num = poly_divmod(numerator, g)[0]
+            den = poly_divmod(denominator, g)[0]
+            c = den.lead.inverse()
+            num, den = num * c, den * c
+        self.numerator = num
+        self.denominator = den
+
+    @property
+    def descriptor(self):
+        return self.numerator.descriptor
+
+    @staticmethod
+    def from_poly(poly):
+        return RationalFunction(poly, Poly.constant(poly.descriptor, 1))
+
+    @staticmethod
+    def constant(descriptor, value):
+        return RationalFunction.from_poly(Poly.constant(descriptor, value))
+
+    def is_zero(self):
+        return self.numerator.is_zero()
+
+    def __bool__(self):
+        return bool(self.numerator)
+
+    def coerce(self, other):
+        if isinstance(other, RationalFunction):
+            if other.descriptor != self.descriptor:
+                raise ValueError("field mismatch")
+            return other
+        if isinstance(other, Poly):
+            return RationalFunction.from_poly(other)
+        if isinstance(other, (int, FieldElement)):
+            return RationalFunction.constant(self.descriptor, other)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalFunction(
+            self.numerator * other.denominator + other.numerator * self.denominator,
+            self.denominator * other.denominator,
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalFunction(-self.numerator, self.denominator)
+
+    def __sub__(self, other):
+        other = self.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        other = self.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalFunction(
+            self.numerator * other.numerator, self.denominator * other.denominator
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RationalFunction(
+            self.numerator * other.denominator, self.denominator * other.numerator
+        )
+
+    def __rtruediv__(self, other):
+        return self.coerce(other) / self
+
+    def __pow__(self, e):
+        if e < 0:
+            if self.is_zero():
+                raise ZeroDivisionError("negative power of zero")
+            return RationalFunction(self.denominator, self.numerator) ** (-e)
+        return RationalFunction(self.numerator**e, self.denominator**e)
+
+    def derivative(self):
+        return RationalFunction(
+            self.numerator.derivative() * self.denominator
+            - self.numerator * self.denominator.derivative(),
+            self.denominator * self.denominator,
+        )
+
+    def ord_at(self, xi):
+        """Valuation at a point of P^1 (INF for the point at infinity)."""
+        if self.is_zero():
+            raise ValueError("the zero function has no valuation")
+        if xi is INF:
+            return self.denominator.degree - self.numerator.degree
+        return multiplicity_at(self.numerator, xi) - multiplicity_at(self.denominator, xi)
+
+    def embed(self, target):
+        return RationalFunction(self.numerator.embed(target), self.denominator.embed(target))
+
+    def __eq__(self, other):
+        other = self.coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (
+            self.numerator == other.numerator and self.denominator == other.denominator
+        )
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
+
+    def __repr__(self):
+        return f"({self.numerator!r})/({self.denominator!r})"
+
+
+def frobenius_cofactor(g):
+    """g^{p-1} for a polynomial g, as the exact quotient g^p // g.
+
+    In characteristic p, Frobenius is additive: g^p = sum c_k^p x^{pk}
+    takes no product, only the p-th powers of the coefficients.
+    """
+    d = g.descriptor
+    p = d.p
+    gp = [d.zero()] * (p * g.degree + 1)
+    for k, c in enumerate(g.coeffs):
+        gp[p * k] = c.frobenius()
+    return poly_divmod(Poly(d, gp), g)[0]
+
+
+def cartier_rational(f):
+    """C(f dx) for a rational function f = N/g, g monic.
+
+    f dx = (N g^{p-1} / g^p) dx and C(h^p w) = h C(w), so
+    C(f dx) = C(N g^{p-1}) / g dx (``cartier.cartier_poly``).  The factor
+    g^{p-1} is g^p // g (``frobenius_cofactor``), one exact division.
+    """
+    if f.is_zero():
+        return f
+    g = f.denominator
+    image = cartier.cartier_poly(f.numerator * frobenius_cofactor(g))
+    return RationalFunction.from_poly(image) / g
+
+
+def to_rational(h):
+    """The ``BranchFraction`` h as a normalized rational function."""
+    d = h.num.descriptor
+    return RationalFunction(h.num, cartier._product_of_linear_powers(d, h.taus, h.exps))
+
+
+def from_rational(taus, f):
+    """f as a ``BranchFraction`` over ``taus``; ValueError for a pole elsewhere."""
+    den = f.denominator
+    exps = [multiplicity_at(den, t) for t in taus]
+    if sum(exps) != den.degree:
+        raise ValueError("the form has a pole away from the branch points")
+    return BranchFraction(tuple(taus), f.numerator, exps)
+
+
+def step_factor(cover, level):
+    """prod (x - tau_j)^{e_j} of z_level = z_{level-1}^p prod (x - tau_j)^{e_j},
+    as a rational function."""
+    es = cover.step_exponents(level)
+    d = cover.descriptor
+    return RationalFunction(
+        cartier._product_of_linear_powers(d, cover.taus, es),
+        cartier._product_of_linear_powers(d, cover.taus, [-e for e in es]),
+    )
+
+
+def is_cartier_fixed_by_rationals(combo):
+    """``cartier.is_cartier_fixed`` with every level a normalized rational
+    function: C(h_l step_l dx) by ``cartier_rational`` against h_{l-1}."""
+    cover = combo.cover
+    hs = [to_rational(h) for h in combo.hs]
+    return all(
+        cartier_rational(h * step_factor(cover, level)) == hs[level - 1]
+        for level, h in enumerate(hs)
+    )
+
+
 def cartier_rational_by_powering(f):
     """C(f dx) = C(u)/g dx with u = N g^(p-1), the power by repeated squaring."""
     d = f.descriptor
@@ -255,7 +512,7 @@ def level_constant_by_full_product(cover, level):
     if image.is_zero() or image.degree != -sum(e for e in es if e < 0) - 2:
         return d.zero()
     kappa = image.lead
-    _, g = cartier.powers_of_linear_factors(d, cover.taus, es)
+    g = cartier._product_of_linear_powers(d, cover.taus, [-e for e in es])
     q = Poly(d, [d.zero(), -d.one(), d.one()])
     return kappa if image * q == g * kappa else d.zero()
 
@@ -276,7 +533,7 @@ def check_candidate_by_rationals(sig, descriptor, tau_new):
     s = cover.s
     lams = []
     for i in range(s):
-        image = cartier_rational_by_powering(inv_q * cover.step_factor((i + 1) % s))
+        image = cartier_rational_by_powering(inv_q * step_factor(cover, (i + 1) % s))
         const = image * RationalFunction.from_poly(q)
         if const.is_zero():
             return None, "zero image"
@@ -441,13 +698,13 @@ def lift_datum_by_rationals(datum, delta):
     moved = {slot: delta[k] for k, (slot, _) in enumerate(deform._new_slots(datum))}
     polar = epsilon_form_by_rationals(cartier.omega_combination(datum), INF, moved)
     for i, a_i in enumerate(polar):
-        step = cover.step_factor(i)
-        images = [cartier.cartier_rational(w * step) for w in basis]
-        images.append(-cartier.cartier_rational(a_i * step))
+        step = step_factor(cover, i)
+        images = [cartier_rational(w * step) for w in basis]
+        images.append(-cartier_rational(a_i * step))
         common = Poly.constant(d, 1)
         for f in images:
-            common = common * (f.denominator // common.gcd(f.denominator))
-        nums = [f.numerator * (common // f.denominator) for f in images]
+            common = common * poly_divmod(f.denominator, poly_gcd(common, f.denominator))[0]
+        nums = [f.numerator * poly_divmod(common, f.denominator)[0] for f in images]
         width = max(len(n.coeffs) for n in nums)
         rows = [
             [a for k in range(width) for a in (n.coeffs[k] if k <= n.degree else d.zero()).coeffs]
@@ -477,7 +734,7 @@ def epsilon_form_by_rationals(combo, center, delta, thetas=None):
     minv = d.element(cover.m).inverse()
     out = []
     for level, h in enumerate(combo.hs):
-        h = h.to_rational()
+        h = to_rational(h)
         moved = RationalFunction(Poly(d, []), Poly.constant(d, 1))
         for k, (tau, orbit) in enumerate(zip(cover.taus, cover.orbits)):
             shift = delta_c - delta.get(k, zero)
@@ -486,7 +743,7 @@ def epsilon_form_by_rationals(combo, center, delta, thetas=None):
                     Poly.constant(d, d.element(orbit[level]) * shift), x - Poly.constant(d, tau)
                 )
         g = h * moved * minv + h.derivative() * delta_c
-        out.append(g + thetas[level].to_rational() if thetas else g)
+        out.append(g + to_rational(thetas[level]) if thetas else g)
     return tuple(out)
 
 

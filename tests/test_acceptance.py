@@ -16,12 +16,8 @@ from click.testing import CliRunner
 from oracles import omega_form, ord_at_critical, phi_basis
 
 from defdatum import cartier, deform, homcoh, search, sigdata
-from defdatum.algebra import (
-    INF,
-    FieldDescriptor,
-    Poly,
-    RationalFunction,
-)
+from defdatum.algebra import INF, FieldDescriptor, Poly
+from defdatum.cartier import BranchFraction
 from defdatum.cli import main as cli_main
 
 
@@ -33,12 +29,6 @@ def _report(capsys, number, name, elapsed, failures, bound=None):
     assert not failures, failures[:10]
     if bound is not None:
         assert elapsed < bound, f"{elapsed:.2f}s exceeds the {bound}s bound"
-
-
-def _rat(descriptor, num_ints, den_ints):
-    return RationalFunction(
-        Poly.from_ints(descriptor, num_ints), Poly.from_ints(descriptor, den_ints)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +97,16 @@ def test_criterion_01_golden_datum(capsys):
             failures.append("Kummer equation is not z^2 = x(x-1)")
         # omega = z dx / (x (x - 1))
         omega = omega_form(datum, 0)
-        if tuple(h.to_rational() for h in omega.hs) != (_rat(F3, [1], [0, 2, 1]),):
+        if omega.hs != (BranchFraction(datum.cover.taus, Poly.constant(F3, 1), (1, 1)),):
             failures.append("omega coefficient is not 1/(x(x-1))")
         checks = search.verify_datum(datum)
         if not all(checks.values()):
             failures.append(f"verify_datum: {checks}")
     # supporting hand identity: C(dx/(x^2 (x-1)^2)) = dx/(x(x-1))
-    f = _rat(F3, [1], [0, 0, 1]) * _rat(F3, [1], [1, 1, 1])
-    if cartier.cartier_rational(f) != _rat(F3, [1], [0, 2, 1]):
+    taus, one = (F3.zero(), F3.one()), Poly.constant(F3, 1)
+    if cartier.cartier_fraction(BranchFraction(taus, one, (2, 2)), (0, 0)) != BranchFraction(
+        taus, one, (1, 1)
+    ):
         failures.append("hand Cartier identity fails")
     _report(capsys, 1, "golden datum", time.perf_counter() - t0, failures, bound=1.0)
 
@@ -289,36 +281,53 @@ def test_criterion_05_picard_invariants(capsys):
     )
 
 
-def _random_rational(rng, descriptor, max_deg=3):
-    table = list(descriptor.elements())
-
-    def poly(min_size):
-        while True:
-            cs = [rng.choice(table) for _ in range(rng.randint(min_size, max_deg + 1))]
-            f = Poly(descriptor, cs)
-            if min_size == 0 or not f.is_zero():
-                return f
-
-    return RationalFunction(poly(0), poly(1))
+def _random_fraction(rng, taus, max_deg=3):
+    """P / prod (x - tau)^{e_tau}, with deg P and sum e_tau at most max_deg."""
+    d = taus[0].descriptor
+    num = Poly(d, [d.element(rng.randrange(d.order)) for _ in range(rng.randint(0, max_deg + 1))])
+    exps = [0] * len(taus)
+    for _ in range(rng.randint(0, max_deg)):
+        exps[rng.randrange(len(taus))] += 1
+    return BranchFraction(taus, num, exps)
 
 
 def test_criterion_06_cartier_laws(capsys):
+    # C(f dx) = cartier_fraction(f, 0) dx on fractions over every point of F_p
     t0 = time.perf_counter()
     failures = []
     rng = random.Random(6)
     for p in (3, 5):
         d = FieldDescriptor.get(p, 1)
+        taus = tuple(d.elements())
+        unshifted = (0,) * p
+
+        def C(f):
+            return cartier.cartier_fraction(f, unshifted)
+
         for case in range(100):
-            f = _random_rational(rng, d)
-            g = _random_rational(rng, d)
-            if cartier.cartier_rational(f**p * g) != f * cartier.cartier_rational(g):
+            f = _random_fraction(rng, taus)
+            g = _random_fraction(rng, taus)
+            fpg = g
+            for _ in range(p):
+                fpg = fpg * f
+            if C(fpg) != f * C(g):
                 failures.append(f"p={p} case {case}: semilinearity")
-            if not cartier.cartier_rational(f.derivative()).is_zero():
+            if not C(f.derivative()).is_zero():
                 failures.append(f"p={p} case {case}: exact form not annihilated")
-            if not f.is_zero():
-                dlog = f.derivative() / f
-                if cartier.cartier_rational(dlog) != dlog:
-                    failures.append(f"p={p} case {case}: dlog not fixed")
+            # h = c prod (x - tau)^{n_tau} has dlog h = sum n_tau / (x - tau)
+            ns = [rng.randint(-2, 2) for _ in taus]
+            c = d.element(rng.randint(1, p - 1))
+            h = BranchFraction(
+                taus, cartier._product_of_linear_powers(d, taus, ns) * c, [max(-n, 0) for n in ns]
+            )
+            dlog = BranchFraction(taus, Poly(d, []), unshifted)
+            for k, n in enumerate(ns):
+                pole = [int(j == k) for j in range(p)]
+                dlog = dlog + BranchFraction(taus, Poly.constant(d, n), pole)
+            if h.derivative() != dlog * h:
+                failures.append(f"p={p} case {case}: dlog is not h'/h")
+            if C(dlog) != dlog:
+                failures.append(f"p={p} case {case}: dlog not fixed")
     _report(capsys, 6, "Cartier laws", time.perf_counter() - t0, failures, bound=5.0)
 
 

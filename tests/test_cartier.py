@@ -9,13 +9,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    RationalFunction,
     cartier_of_linear_powers,
+    cartier_rational,
     cartier_rational_by_powering,
+    frobenius_cofactor,
+    from_rational,
+    is_cartier_fixed_by_rationals,
     level_constant_by_full_product,
+    multiplicity_at,
     omega_form,
     ord_at_critical,
     phi_basis,
     series_at,
+    step_factor,
+    to_rational,
 )
 
 from defdatum import cartier, deform, search, sigdata
@@ -25,17 +33,15 @@ from defdatum.algebra import (
     FieldDescriptor,
     LaurentSeries,
     Poly,
-    RationalFunction,
 )
 from defdatum.cartier import (
     BranchFraction,
     FormCombination,
     KummerCover,
     cartier_combination,
+    cartier_fraction,
     cartier_poly,
-    cartier_rational,
     expand_combination,
-    frobenius_cofactor,
     is_cartier_fixed,
     is_fixed_by_constants,
     level_constant,
@@ -43,7 +49,6 @@ from defdatum.cartier import (
     epsilon_form,
     ord_single_form,
     phi_coefficients,
-    powers_of_linear_factors,
 )
 
 F3 = FieldDescriptor.get(3, 1)
@@ -59,7 +64,7 @@ def rat(descriptor, num_ints, den_ints):
 
 def branch(cover, f):
     """The rational function f as a fraction over the cover's branch points."""
-    return BranchFraction.from_rational(cover.taus, f)
+    return from_rational(cover.taus, f)
 
 
 def expand(cover, hs, center, upto):
@@ -126,6 +131,44 @@ def test_cartier_rational_matches_the_powering_oracle_above_the_table_cap():
     assert not cartier_rational(f).is_zero()
 
 
+# F_2, F_3, F_5, F_7, F_4, F_9 and F_25
+FRACTION_FIELDS = [
+    FieldDescriptor.get(p, r) for p, r in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2))
+]
+
+
+@st.composite
+def shifted_fractions(draw):
+    """A fraction P / prod (x - tau_j)^{e_j} over one to four points, e_j in
+    0..2p+1, P sometimes sharing factors x - tau_j with the denominator, and
+    shifts in -2p-1..2p+1."""
+    d = draw(st.sampled_from(FRACTION_FIELDS))
+    p = d.p
+    table = list(d.elements())
+    taus = tuple(draw(st.lists(st.sampled_from(table), min_size=1, max_size=4, unique=True)))
+    n = len(taus)
+    exps = draw(st.lists(st.integers(0, 2 * p + 1), min_size=n, max_size=n))
+    shift = draw(st.lists(st.integers(-2 * p - 1, 2 * p + 1), min_size=n, max_size=n))
+    num = Poly(d, draw(st.lists(st.sampled_from(table), max_size=4)))
+    common = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    num = num * cartier._product_of_linear_powers(d, taus, common)
+    return BranchFraction(taus, num, exps), shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_fractions())
+def test_cartier_fraction_matches_the_rational_oracle(case):
+    f, shift = case
+    d = f.num.descriptor
+    step = RationalFunction(
+        cartier._product_of_linear_powers(d, f.taus, shift),
+        cartier._product_of_linear_powers(d, f.taus, [-e for e in shift]),
+    )
+    image = cartier_fraction(f, shift)
+    assert image.taus == f.taus
+    assert to_rational(image) == cartier_rational(to_rational(f) * step)
+
+
 # F_4, F_9, F_25, F_27, F_49, F_11, F_13 and F_169
 SPLIT_FIELDS = [
     FieldDescriptor.get(p, r)
@@ -178,7 +221,8 @@ def test_cartier_of_linear_powers_matches_the_cofactor_path(case):
     # the candidate check's u = N g^(p-1), with g^(p-1) as g^p // g
     d, taus, es = case
     p = d.p
-    num, den = powers_of_linear_factors(d, taus, es)
+    num = cartier._product_of_linear_powers(d, taus, es)
+    den = cartier._product_of_linear_powers(d, taus, [-e for e in es])
     split = [e if e > 0 else (p - 1) * -e for e in es]
     assert cartier_of_linear_powers(d, taus, split) == cartier_poly(num * frobenius_cofactor(den))
 
@@ -302,7 +346,7 @@ def test_cover_local_data():
     assert cover.orbit_at(INF) == (0, 0)
     rad = cover.radicand(0)
     assert rad.degree == 4
-    assert rad.multiplicity_at(F3.element(0)) == 3
+    assert multiplicity_at(rad, F3.element(0)) == 3
     for level in range(cover.s):
         exponents = [orbit[level] for orbit in cover.orbits]
         assert cover.radicand(level) == product_multiplied_out(F3, cover.taus, exponents)
@@ -338,7 +382,7 @@ def test_golden_omega_is_cartier_fixed():
     datum = golden_datum()
     omega = omega_form(datum, 0)
     # dx / (x (x - 1)) times z
-    assert tuple(h.to_rational() for h in omega.hs) == (rat(F3, [1], [0, 2, 1]),)
+    assert tuple(to_rational(h) for h in omega.hs) == (rat(F3, [1], [0, 2, 1]),)
     assert is_cartier_fixed(omega)
     image = cartier_combination(omega)
     assert image.hs == omega.hs
@@ -391,7 +435,7 @@ def test_phi_basis_is_built_from_phi_coefficients():
         assert len(rows) == len(phis) == datum.signature.s
         q = datum.embedded(field).q_poly
         for row, phi in zip(rows, phis):
-            assert tuple(h.to_rational() for h in phi.hs) == tuple(
+            assert tuple(to_rational(h) for h in phi.hs) == tuple(
                 RationalFunction(Poly.constant(field, c), q) for c in row
             )
 
@@ -401,7 +445,7 @@ def level_image_by_cartier_rational(cover, level):
     d = cover.descriptor
     q = Poly.x(d) * (Poly.x(d) - Poly.constant(d, 1))
     inv_q = RationalFunction(Poly.constant(d, 1), q)
-    return cartier_rational(inv_q * cover.step_factor((level + 1) % cover.s)) * q
+    return cartier_rational(inv_q * step_factor(cover, (level + 1) % cover.s)) * q
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -517,6 +561,7 @@ def test_fixedness_by_constants_matches_is_cartier_fixed_on_random_rows(data):
         big.cover, tuple(branch(big.cover, RationalFunction(Poly.constant(field, c), q)) for c in row)
     )
     assert is_fixed_by_constants(row, kappas) == is_cartier_fixed(combo)
+    assert is_cartier_fixed(combo) == is_cartier_fixed_by_rationals(combo)
 
 
 def trivial_cover(descriptor, taus):
@@ -634,26 +679,26 @@ def branch_fractions(draw, count=2):
 @given(branch_fractions())
 def test_branch_fraction_arithmetic_matches_rational_functions(fs):
     a, b = fs
-    ra, rb = a.to_rational(), b.to_rational()
+    ra, rb = to_rational(a), to_rational(b)
     d = a.num.descriptor
     c = d.generator() + d.one()
-    assert (a + b).to_rational() == ra + rb
-    assert (a * b).to_rational() == ra * rb
-    assert (a * c).to_rational() == ra * c
-    assert a.derivative().to_rational() == ra.derivative()
+    assert to_rational(a + b) == ra + rb
+    assert to_rational(a * b) == ra * rb
+    assert to_rational(a * c) == ra * c
+    assert to_rational(a.derivative()) == ra.derivative()
     assert (a == b) == (ra == rb)
-    assert a == BranchFraction.from_rational(a.taus, ra)
+    assert a == from_rational(a.taus, ra)
     for k in range(len(a.taus)):
-        assert a.reduced_at(k).to_rational() == ra
+        assert to_rational(a.reduced_at(k)) == ra
     big = FieldDescriptor.get(d.p, 2 * d.r)
-    assert a.embed(big, tuple(t.embed(big) for t in a.taus)).to_rational() == ra.embed(big)
+    assert to_rational(a.embed(big, tuple(t.embed(big) for t in a.taus))) == ra.embed(big)
 
 
 @settings(max_examples=60, deadline=None)
 @given(branch_fractions(count=1))
 def test_branch_fraction_order_and_residue_match_the_expansion(fs):
     (a,) = fs
-    ra = a.to_rational()
+    ra = to_rational(a)
     assume(not a.is_zero())
     assert a.order(INF) == ra.ord_at(INF)
     for k, tau in enumerate(a.taus):
@@ -845,7 +890,7 @@ def branch_rationals(cover, max_deg=2):
         st.integers(0, max_deg), min_size=len(cover.taus), max_size=len(cover.taus)
     ).filter(lambda es: sum(es) <= max_deg)
     return st.tuples(nums, exps).map(
-        lambda ne: BranchFraction(cover.taus, Poly(d, ne[0]), ne[1]).to_rational()
+        lambda ne: to_rational(BranchFraction(cover.taus, Poly(d, ne[0]), ne[1]))
     )
 
 
@@ -926,7 +971,7 @@ def test_order_matches_wide_expansion(case):
     got = ord_at_critical(combo, center)
     upto = max(cartier._term_orders(combo.cover, combo.hs, center)) + 12
     wide = heuristic_window_expansion(
-        combo.cover, tuple(h.to_rational() for h in combo.hs), center, upto
+        combo.cover, tuple(to_rational(h) for h in combo.hs), center, upto
     )
     assert got == wide.base.order()
 

@@ -5,7 +5,7 @@ import time
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     cochain_basis,
@@ -192,9 +192,30 @@ def graded_h_modules(draw):
     return GradedHModule(p, s, m, T, dims, scalars)
 
 
+@st.composite
+def modules_and_degrees(draw):
+    """A ``graded_h_modules`` draw and nmax <= 2, with nmax = 1 at p = 3 and
+    s = 2: the dense oracle lists (p^s)^(nmax+2) dim M cochains, and the
+    largest modules at p = 3, s = 2, nmax = 2 run as fixed examples."""
+    M = draw(graded_h_modules())
+    nmax = 1 if (M.p, M.s) == (3, 2) else draw(st.sampled_from([1, 2]))
+    return M, nmax
+
+
+def module_of_dim_2(swap):
+    """The largest module ``graded_h_modules`` draws at p = 3, s = 2, m = 4:
+    every graded piece of dimension 2 and every scalar 1, so every orbit
+    carries an invariant, with T trivial or the coordinate swap."""
+    T = ((0, 1), (1, 0)) if swap else ((1, 0), (0, 1))
+    return GradedHModule(3, 2, 4, T, dict.fromkeys(itertools.product(range(3), repeat=2), 2), {})
+
+
 @settings(max_examples=40, deadline=None)
-@given(graded_h_modules(), st.sampled_from([1, 2]))
-def test_block_sum_matches_dense_oracle(M, nmax):
+@given(modules_and_degrees())
+@example((module_of_dim_2(swap=False), 2))
+@example((module_of_dim_2(swap=True), 2))
+def test_block_sum_matches_dense_oracle(case):
+    M, nmax = case
     C = group_cochain_complex(M, nmax)
     blocks = group_cochain_blocks(M, nmax)
     # degree nmax + 1 of the oracle also holds blocks that start there

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     check_candidate_by_rationals,
+    is_cartier_fixed_by_rationals,
     level_constant_by_full_product,
     omega_orders_by_ord_at_critical,
     phi_basis,
@@ -267,8 +268,8 @@ def test_search_matches_the_full_scan(p, m, points, r):
 
 
 def test_every_scanned_omega_is_cartier_fixed():
-    # the benchmark's scan check: the general Cartier test, through
-    # normalized rational functions, on omega of every datum found
+    # the benchmark's scan check: the general Cartier test on omega of
+    # every datum found, and its oracle through normalized rational functions
     data = [
         datum
         for p, m, points, r in SCAN_CONFIGS
@@ -276,7 +277,9 @@ def test_every_scanned_omega_is_cartier_fixed():
         for datum in search_field(sig, FieldDescriptor.get(p, r))
     ]
     assert len(data) == 18
-    assert all(cartier.is_cartier_fixed(cartier.omega_combination(dt)) for dt in data)
+    omegas = [cartier.omega_combination(dt) for dt in data]
+    assert all(cartier.is_cartier_fixed(omega) for omega in omegas)
+    assert all(is_cartier_fixed_by_rationals(omega) for omega in omegas)
 
 
 SCAN_SIGNATURES = [
@@ -429,12 +432,16 @@ STORED = stored_data()
 
 def assert_verdicts_match_the_oracles(datum):
     """verify_datum's two Cartier verdicts against ``is_cartier_fixed``,
-    and its closed-form orders against ``ord_at_critical``."""
+    which agrees with ``is_cartier_fixed_by_rationals`` on omega and on
+    every phi_l, and its closed-form orders against ``ord_at_critical``."""
     checks = verify_datum(datum)
     assert search.omega_orders(datum) == omega_orders_by_ord_at_critical(datum)
-    assert checks["cartier_fixed"] == cartier.is_cartier_fixed(cartier.omega_combination(datum))
+    omega = cartier.omega_combination(datum)
     phis = phi_basis(datum)
-    assert checks["phi_fixed"] == all(cartier.is_cartier_fixed(ph) for ph in phis)
+    fixed = [cartier.is_cartier_fixed(form) for form in (omega, *phis)]
+    assert fixed == [is_cartier_fixed_by_rationals(form) for form in (omega, *phis)]
+    assert checks["cartier_fixed"] == fixed[0]
+    assert checks["phi_fixed"] == all(fixed[1:])
     return checks
 
 

@@ -46,6 +46,7 @@ its own orders.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -652,39 +653,64 @@ def expand_combination(cover, hs, center, upto, branch):
     ``branch_root`` at this center; higher levels follow from the
     Frobenius recursion, so all levels use consistent branches.
 
-    Every series has L = max(upto, v) - v + 1 + [c finite] m_c (1 + D)
-    terms, from the valuations named and justified in the module
-    docstring.  The expansion is built once; there is no retry, and a
-    window ending below ``upto`` raises ArithmeticError.
+    It is the sum of the form's level series from ``expand_levels``: one
+    frame of L = max(upto, v) - v + 1 + [c finite] m_c (1 + D) terms,
+    from the valuations named and justified in the module docstring,
+    built once; there is no retry, and a window ending below ``upto``
+    raises ArithmeticError.
     """
-    orders = _term_orders(cover, hs, center)
-    if not orders:
-        raise ValueError("the zero form has no expansion")
-    v = min(orders)
-    length = max(upto, v) - v + 1
-    if center is not INF:
-        hs = tuple(h.reduced_at(center) for h in hs)
-        mult = max(abs(h.order(center)) for h in hs if not h.is_zero())
-        length += cover.m_at(center) * (1 + mult)
-    out = _expand(cover, hs, center, length, branch)
-    if out.window()[1] < upto:
+    (levels,) = expand_levels(cover, [hs], center, upto, branch)
+    return functools.reduce(add, [ser for ser in levels if ser is not None])
+
+
+def expand_levels(cover, forms, center, upto, branch):
+    """Level series of several nonzero forms sum_l h_l z_l dx at one critical point.
+
+    ``forms`` lists the forms' h-tuples; returns, per form, one series of
+    h_l z_l dx per level (None where h_l = 0), every one exact through
+    ``upto``, so a caller reads the expansion of sum_l c_l h_l z_l dx,
+    every c_l != 0, as sum_l c_l times the level series.  The window L of
+    ``expand_combination`` depends only on the orders of the nonzero
+    h_l, which such c_l leave alone, and the one frame (``_expand``) is
+    built with the largest L over the forms: a longer window is still
+    exact.
+    """
+    reduced, length = [], 0
+    for hs in forms:
+        orders = _term_orders(cover, hs, center)
+        if not orders:
+            raise ValueError("the zero form has no expansion")
+        v = min(orders)
+        size = max(upto, v) - v + 1
+        if center is not INF:
+            hs = tuple(h.reduced_at(center) for h in hs)
+            mult = max(abs(h.order(center)) for h in hs if not h.is_zero())
+            size += cover.m_at(center) * (1 + mult)
+        reduced.append(hs)
+        length = max(length, size)
+    out = _expand(cover, reduced, center, length, branch)
+    if any(ser.window()[1] < upto for levels in out for ser in levels if ser is not None):
         raise ArithmeticError("expansion ends below upto: the precision rule is broken")
     return out
 
 
-def _expand(cover, hs, center, length, branch):
-    """``expand_combination`` from series of ``length`` terms.
+def _expand(cover, forms, center, length, branch):
+    """The local frame at a critical point, from series of ``length`` terms,
+    and every form's level series in it.
 
-    Each h_l = P_l / prod (x - tau_k)^{e_k} is the series of P_l times the
-    inverse of a product of powers of the factor series x - tau_k, one
-    inverse per exponent vector.
+    The frame is x, dx, the factor series x - tau_k, z_0 (the m-th root
+    of the radicand, by Newton) and the z_l of the Frobenius recursion.
+    Each nonzero h_l = P_l / prod (x - tau_k)^{e_k} gives the series of
+    P_l z_l dx times the inverse of a product of powers of the factor
+    series, one inverse per exponent vector over all the forms; a zero
+    h_l gives None.
     """
     m = cover.m
     mj = cover.m_at(center)
     root, desc = branch
     if desc != cover.descriptor:
         cover = cover.embed(desc)
-        hs = tuple(h.embed(desc, cover.taus) for h in hs)
+        forms = [tuple(h.embed(desc, cover.taus) for h in hs) for hs in forms]
     if center is INF:
         x = _monomial(desc, 1, -mj, length)
         dx = x.derivative()
@@ -704,22 +730,26 @@ def _expand(cover, hs, center, length, branch):
                 z = z * fk**e
         zs.append(z)
     inverses = {}
-    total = None
-    for h, z in zip(hs, zs):
-        if h.is_zero():
-            continue
-        term = _eval_poly(h.num, x) * z * dx
-        if any(h.exps):
-            inv = inverses.get(h.exps)
-            if inv is None:
-                den = None
-                for fk, e in zip(factors, h.exps):
-                    if e:
-                        den = fk**e if den is None else den * fk**e
-                inv = inverses[h.exps] = den.inverse()
-            term = term * inv
-        total = term if total is None else total + term
-    return total
+    out = []
+    for hs in forms:
+        levels = []
+        for h, z in zip(hs, zs):
+            if h.is_zero():
+                levels.append(None)
+                continue
+            term = _eval_poly(h.num, x) * z * dx
+            if any(h.exps):
+                inv = inverses.get(h.exps)
+                if inv is None:
+                    den = None
+                    for fk, e in zip(factors, h.exps):
+                        if e:
+                            den = fk**e if den is None else den * fk**e
+                    inv = inverses[h.exps] = den.inverse()
+                term = term * inv
+            levels.append(term)
+        out.append(levels)
+    return out
 
 
 def epsilon_form(combo, center, delta, thetas=None):

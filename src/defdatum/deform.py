@@ -7,7 +7,10 @@ condition.  Solving it produces the lifted datum; specialty of the lift
 at each new point is then read off from honest local expansions over
 k[eps], whose epsilon-part is the plain expansion of the derived form
 ``cartier.epsilon_form``, and the generic failure of specialty along
-every direction is the rigidity statement.
+every direction is the rigidity statement.  The expansions are taken
+level by level, once per lift and point: every element of the fixed
+space scales level i by c^{p^i}, c in F_{p^s}, so each c is read off
+the level series by linearity.
 
 Every form on the way is a ``cartier.BranchFraction``, a numerator over
 powers of the x - tau at the finite branch points, whose exponents are
@@ -204,32 +207,36 @@ def is_j_special(deformed, k, branch):
     c in F_{p^s}, scaled onto the omega_i) is expanded at the moved
     branch point; specialty needs every coefficient below
     M = m_j + a_j - 1 to vanish identically (epsilon-parts included)
-    and the coefficient at M to be a unit.  Each of the two parts is
-    sized by ``expand_combination`` from valuations, one build each.
+    and the coefficient at M to be a unit.  The expansions of every c
+    are read off one frame of level series (``_specialty_series``).
     ``branch`` is the point's entry of ``branch_roots``.
     """
-    for base, eps, target in _specialty_expansions(deformed, k, branch):
+    for base, eps, target in _specialty_series(deformed, k, branch):
         # a series starts at its first nonzero coefficient
         if base.order() != target or eps.start < target:
             return False
     return True
 
 
-def _specialty_expansions(deformed, k, branch):
-    """(base, epsilon-part, M) at the k-th new point per nonzero c in F_{p^s}.
+def _specialty_series(deformed, k, branch):
+    """(base, epsilon-part, M) through order M at the k-th new point, per
+    nonzero c in F_{p^s}.
 
-    The epsilon-part's form is linear in c level by level, so it is
-    derived once and scaled; when it is zero its expansion is the zero
-    series.
+    The expansion is F_p-linear in c level by level: level i scales by
+    c^{p^i}, and so does level i of the epsilon-part's form, which is
+    linear in the h_i.  So omega's level series a_{i,n} and, when it is
+    nonzero, the epsilon-part's come from one frame
+    (``cartier.expand_levels``), and each c takes its coefficients
+    n <= M as sum_i c^{p^i} a_{i,n}, with c embedded F_{p^s} ->
+    ``field_with_roots`` -> the branch field.  A zero epsilon-part gives
+    the zero series.
     """
     datum = deformed.base
     sig = datum.signature
     slot, j = _new_slots(datum)[k]
-    m_j = sig.m_j(j)
-    target = m_j + sig.a_min(j) - 1
+    target = sig.m_j(j) + sig.a_min(j) - 1
     s = datum.cover.s
     d = datum.descriptor
-    sub = FieldDescriptor.get(d.p, s)
     big = datum.field_with_roots()
     unit = cartier.omega_combination(datum.embedded(big))
     eps_unit = cartier.epsilon_form(
@@ -238,21 +245,29 @@ def _specialty_expansions(deformed, k, branch):
         {slot: deformed.delta[k].embed(big)},
         [t.embed(big, unit.cover.taus) for t in deformed.h],
     )
-    for c0 in sub.elements():
+    forms = [unit.hs] if eps_unit.is_zero() else [unit.hs, eps_unit.hs]
+    base, *eps = cartier.expand_levels(unit.cover, forms, slot, target, branch)
+    desc = branch[1]
+    for c0 in FieldDescriptor.get(d.p, s).elements():
         if c0.is_zero():
             continue
-        c = c0.embed(big)
+        c = c0.embed(big).embed(desc)
         cs = [c ** (d.p**i) for i in range(s)]
-        base = cartier.expand_combination(
-            unit.cover, tuple(h * ci for h, ci in zip(unit.hs, cs)), slot, target, branch
+        yield (
+            _combine(base, cs, target),
+            _combine(eps[0], cs, target) if eps else LaurentSeries(desc, target + 1, []),
+            target,
         )
-        if eps_unit.is_zero():
-            eps = LaurentSeries(big, target + 1, [])
-        else:
-            eps = cartier.expand_combination(
-                unit.cover, tuple(g * ci for g, ci in zip(eps_unit.hs, cs)), slot, target, branch
-            )
-        yield base, eps, target
+
+
+def _combine(levels, cs, upto):
+    """sum_i cs[i] levels[i] through order ``upto``; a None level is zero."""
+    terms = [(c, ser) for c, ser in zip(cs, levels) if ser is not None]
+    desc = terms[0][1].descriptor
+    start = min(upto + 1, *(ser.start for _, ser in terms))
+    zero = desc.zero()
+    coeffs = [sum((c * ser.coeff(n) for c, ser in terms), zero) for n in range(start, upto + 1)]
+    return LaurentSeries(desc, start, coeffs, upto)
 
 
 def rigidity_check(datum):
@@ -268,10 +283,12 @@ def rigidity_check(datum):
     c h is a correction for c delta, and it is the one ``lift_datum``
     returns, as that raises unless the correction is unique.
     Kodaira-Spencer and the epsilon-part of every specialty expansion
-    (``cartier.epsilon_form``, then ``expand_combination``) scale by c too,
-    and a unit c changes neither a round trip nor where a series starts.
-    The branch of z at each new point (``branch_roots``) is taken once
-    and shared by every lift.
+    (``cartier.epsilon_form``, then its level series) scale by c too, and
+    a unit c changes neither a round trip nor where a series starts.
+    Each ``is_j_special`` call expands omega and the epsilon-part level
+    by level in one frame and reads every element of the fixed space off
+    those series.  The branch of z at each new point (``branch_roots``)
+    is taken once and shared by every lift.
     """
     d = datum.descriptor
     n_new = len(datum.tau)

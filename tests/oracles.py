@@ -48,11 +48,16 @@ package's path in the unit suites:
 - ``epsilon_form_by_rationals`` (the derived form over normalized
   rational functions) with ``cartier.epsilon_form`` (fractions over the
   branch points);
+- ``is_j_special_by_expansions`` (one ``cartier.expand_combination``
+  per c in F_{p^s}^x, of omega and of the epsilon-part scaled by the
+  c^{p^i}) with ``deform.is_j_special`` (one frame of level series,
+  every c read off them by linearity);
 - ``rigidity_check_by_directions`` (one lift, round trip and specialty
-  test per direction c e_k, c in F_q^x) with ``deform.rigidity_check``
-  (one lift per unit vector e_k, the line F_q^x e_k by linearity), on
-  the ``LIFT_CONFIGS`` data with q <= 25, the two-new-point (7, 2, 5, 1)
-  data and the non-rigid (7, 4, 4, 1) data;
+  test by ``is_j_special_by_expansions`` per direction c e_k, c in
+  F_q^x) with ``deform.rigidity_check`` (one lift per unit vector e_k,
+  the line F_q^x e_k by linearity), on the ``LIFT_CONFIGS`` data with
+  q <= 25, the two-new-point (7, 2, 5, 1) data and the non-rigid
+  (7, 4, 4, 1) data;
 - ``series_at`` (the Laurent expansion of a rational function) with
   ``cartier.expand_combination`` on the trivial cover, and with the
   closed-form residues of ``deform.kodaira_spencer``.
@@ -62,7 +67,7 @@ import itertools
 from math import gcd
 
 from defdatum import cartier, deform, homcoh, search, sigdata
-from defdatum.algebra import INF, FieldElement, LaurentSeries, Poly
+from defdatum.algebra import INF, FieldDescriptor, FieldElement, LaurentSeries, Poly
 from defdatum.cartier import BranchFraction, FormCombination
 
 
@@ -747,12 +752,66 @@ def epsilon_form_by_rationals(combo, center, delta, thetas=None):
     return tuple(out)
 
 
+def is_j_special_by_expansions(deformed, k, branch):
+    """``deform.is_j_special`` with one expansion per c in F_{p^s}^x.
+
+    Every nonzero c scales omega's levels by c^{p^i}, and the
+    epsilon-part's form (derived once, linear in c level by level) the
+    same way; each scaled form goes through ``cartier.expand_combination``
+    on its own, where the package reads every c off one set of level
+    series.
+    """
+    return all(
+        base.order() == target and eps.start >= target
+        for base, eps, target in specialty_expansions(deformed, k, branch)
+    )
+
+
+def specialty_expansions(deformed, k, branch):
+    """(base, epsilon-part, M) at the k-th new point per nonzero c in F_{p^s}.
+
+    When the epsilon-part's form is zero its expansion is the zero
+    series, which starts above M.
+    """
+    datum = deformed.base
+    sig = datum.signature
+    slot, j = deform._new_slots(datum)[k]
+    target = sig.m_j(j) + sig.a_min(j) - 1
+    s = datum.cover.s
+    d = datum.descriptor
+    sub = FieldDescriptor.get(d.p, s)
+    big = datum.field_with_roots()
+    unit = cartier.omega_combination(datum.embedded(big))
+    eps_unit = cartier.epsilon_form(
+        unit,
+        slot,
+        {slot: deformed.delta[k].embed(big)},
+        [t.embed(big, unit.cover.taus) for t in deformed.h],
+    )
+    for c0 in sub.elements():
+        if c0.is_zero():
+            continue
+        c = c0.embed(big)
+        cs = [c ** (d.p**i) for i in range(s)]
+        base = cartier.expand_combination(
+            unit.cover, tuple(h * ci for h, ci in zip(unit.hs, cs)), slot, target, branch
+        )
+        if eps_unit.is_zero():
+            eps = LaurentSeries(branch[1], target + 1, [])
+        else:
+            eps = cartier.expand_combination(
+                unit.cover, tuple(g * ci for g, ci in zip(eps_unit.hs, cs)), slot, target, branch
+            )
+        yield base, eps, target
+
+
 def rigidity_check_by_directions(datum):
     """``deform.rigidity_check`` with one lift per direction.
 
     Every c e_k, c in F_q^x, is lifted, sent through Kodaira-Spencer and
-    tested for specialty at every new point: n_new (q - 1) + 1 lifts,
-    where the package derives the line F_q^x e_k from the lift of e_k.
+    tested for specialty at every new point by
+    ``is_j_special_by_expansions``: n_new (q - 1) + 1 lifts, where the
+    package derives the line F_q^x e_k from the lift of e_k.
     """
     d = datum.descriptor
     n_new = len(datum.tau)
@@ -763,7 +822,7 @@ def rigidity_check_by_directions(datum):
     ks0 = deform.kodaira_spencer(lifted0)
     report["zero_roundtrip"] = ks0 == zero
     report["zero_direction_special"] = all(
-        deform.is_j_special(lifted0, k, branches[k]) for k in range(n_new)
+        is_j_special_by_expansions(lifted0, k, branches[k]) for k in range(n_new)
     )
     directions = []
     for k in range(n_new):
@@ -778,7 +837,7 @@ def rigidity_check_by_directions(datum):
         lifted = deform.lift_datum(datum, vec)
         roundtrip = deform.kodaira_spencer(lifted) == vec
         fails_at = [
-            k for k in range(n_new) if not deform.is_j_special(lifted, k, branches[k])
+            k for k in range(n_new) if not is_j_special_by_expansions(lifted, k, branches[k])
         ]
         entry = {
             "delta": [v.to_json() for v in vec],

@@ -977,7 +977,9 @@ def test_order_matches_wide_expansion(case):
 
 
 def test_each_expansion_is_built_once(monkeypatch):
-    calls = {"expand_combination": 0, "_expand": 0, "_order_bound": 0}
+    # one frame per expand_combination call and one per is_j_special call,
+    # which reads omega's and the epsilon-part's level series from it
+    calls = {"expand_combination": 0, "_expand": 0, "_order_bound": 0, "is_j_special": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -991,6 +993,7 @@ def test_each_expansion_is_built_once(monkeypatch):
     counted(cartier, "expand_combination")
     counted(cartier, "_expand")
     counted(oracles, "_order_bound")
+    counted(deform, "is_j_special")
     datum = two_level_datum()
     deform.rigidity_check(datum)  # moving centers, theta channels, two levels
     # a branch constant that needs F_9
@@ -1001,4 +1004,5 @@ def test_each_expansion_is_built_once(monkeypatch):
         for center in (0, 1, 2, INF):
             ord_at_critical(ph, center)
     assert calls["_order_bound"] > 0  # some orders tie and are expanded
-    assert calls["_expand"] == calls["expand_combination"] > 0
+    assert calls["expand_combination"] > 0 and calls["is_j_special"] > 0
+    assert calls["_expand"] == calls["expand_combination"] + calls["is_j_special"]

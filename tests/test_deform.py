@@ -9,9 +9,11 @@ from oracles import (
     RationalFunction,
     cartier_rational,
     epsilon_form_by_rationals,
+    is_j_special_by_expansions,
     lift_datum_by_rationals,
     rigidity_check_by_directions,
     series_at,
+    specialty_expansions,
     step_factor,
     to_rational,
 )
@@ -178,6 +180,63 @@ def test_rigidity_matches_the_direction_scan(config):
         assert rigidity_check(datum) == rigidity_check_by_directions(datum)
 
 
+# every LIFT_CONFIGS datum (q <= 25, and the F_125 datum of (5, 2, 4, 3))
+# and the (3, 4, 4, 1) data: with (3, 4, 4, 2) they are the s = 2 data,
+# where c runs over F_9 and level 1 scales by c^3, not c
+SPECIALTY_CONFIGS = LIFT_CONFIGS + [(3, 4, 4, 1)]
+
+
+@pytest.mark.parametrize("config", SPECIALTY_CONFIGS, ids=lambda c: ",".join(map(str, c)))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_specialty_by_linearity_matches_one_expansion_per_c(config, data):
+    # on every datum, along the zero direction, every c e_k and a random
+    # delta (one moving every new point on the two-new-point data), at
+    # every new point: the verdicts, and every c's coefficients through M
+    for datum in lift_data(*config):
+        d = datum.descriptor
+        n_new = len(datum.tau)
+        elems = list(d.elements())
+        units = [e for e in elems if not e.is_zero()]
+        c = data.draw(st.sampled_from(units))
+        spread = tuple(
+            data.draw(st.sampled_from(units if n_new > 1 else elems)) for _ in datum.tau
+        )
+        directions = [(d.zero(),) * n_new, spread] + [
+            tuple(c if j == k else d.zero() for j in range(n_new)) for k in range(n_new)
+        ]
+        assert_specialty_matches_the_oracle(datum, directions)
+
+
+def assert_specialty_matches_the_oracle(datum, directions):
+    """is_j_special and its series against is_j_special_by_expansions."""
+    n_new = len(datum.tau)
+    branches = deform.branch_roots(datum)
+    for delta in directions:
+        lifted = lift_datum(datum, delta)
+        for k in range(n_new):
+            assert is_j_special(lifted, k, branches[k]) == is_j_special_by_expansions(
+                lifted, k, branches[k]
+            )
+            # every c's coefficients through M, one series per c in the same order
+            pairs = list(
+                zip(
+                    deform._specialty_series(lifted, k, branches[k]),
+                    specialty_expansions(lifted, k, branches[k]),
+                    strict=True,
+                )
+            )
+            assert len(pairs) == datum.descriptor.p ** datum.cover.s - 1
+            for fast, slow in pairs:
+                target = fast[2]
+                assert target == slow[2]
+                for got, want in zip(fast[:2], slow[:2]):
+                    lo = min(got.start, want.start)
+                    assert [got.coeff(n) for n in range(lo, target + 1)] == [
+                        want.coeff(n) for n in range(lo, target + 1)
+                    ]
+
+
 def test_non_rigid_data_are_compared():
     assert not any(rigidity_check(datum)["rigid"] for datum in lift_data(7, 4, 4, 1))
 
@@ -289,7 +348,7 @@ def weakened_is_j_special(deformed, k):
     M, ignoring the nilpotent (epsilon) coefficients below it."""
     return all(
         base.order() == target
-        for base, eps, target in deform._specialty_expansions(
+        for base, eps, target in specialty_expansions(
             deformed, k, deform.branch_roots(deformed.base)[k]
         )
     )

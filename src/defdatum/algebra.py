@@ -1,7 +1,9 @@
 """Exact arithmetic over F_{p^r} and its function field in one variable.
 
-Provides finite field towers with canonical moduli, dense univariate
-polynomials and truncated Laurent series.
+Provides finite field towers with canonical moduli and dense univariate
+polynomials.  No series type lives here: the package reads orders and
+leading coefficients in closed form, and truncated Laurent series are a
+test oracle.
 
 Serialization of a field element is
 ``{"p": p, "r": r, "modulus": [c0..cr], "coeffs": [a0..a_{r-1}]}``
@@ -639,191 +641,6 @@ class Poly:
             if c:
                 terms.append(f"({c!r})*x^{k}" if k else f"({c!r})")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-class LaurentSeries:
-    """Truncated Laurent expansion: coefficients for orders start..trunc."""
-
-    __slots__ = ("descriptor", "start", "coeffs", "trunc")
-
-    def __init__(self, descriptor, start, coeffs, trunc=None):
-        coeffs = list(coeffs)
-        if trunc is None:
-            trunc = start + len(coeffs) - 1
-        if trunc - start + 1 != len(coeffs):
-            raise ValueError("coefficient window does not match orders")
-        # canonical window: drop leading zeros (keeps truncation order)
-        while coeffs and coeffs[0].is_zero():
-            coeffs = coeffs[1:]
-            start += 1
-        if not coeffs:
-            start = trunc + 1
-        self.descriptor = descriptor
-        self.start = start
-        self.coeffs = tuple(coeffs)
-        self.trunc = trunc
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def order(self):
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return self.start + k
-        return None
-
-    def coeff(self, n):
-        if n < self.start or n > self.trunc:
-            return self.descriptor.zero()
-        return self.coeffs[n - self.start]
-
-    def __add__(self, other):
-        if isinstance(other, LaurentSeries):
-            if other.descriptor != self.descriptor:
-                raise ValueError("field mismatch")
-            start = min(self.start, other.start)
-            trunc = min(self.trunc, other.trunc)
-            coeffs = [self.coeff(n) + other.coeff(n) for n in range(start, trunc + 1)]
-            return LaurentSeries(self.descriptor, start, coeffs, trunc)
-        return NotImplemented
-
-    def __neg__(self):
-        return LaurentSeries(
-            self.descriptor, self.start, [-c for c in self.coeffs], self.trunc
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = self.descriptor.element(c)
-        return LaurentSeries(
-            self.descriptor, self.start, [a * c for a in self.coeffs], self.trunc
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self.scale(other)
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        if other.descriptor != self.descriptor:
-            raise ValueError("field mismatch")
-        start = self.start + other.start
-        trunc = min(self.start + other.trunc, other.start + self.trunc)
-        zero = self.descriptor.zero()
-        n = trunc - start + 1
-        if n <= 0:
-            return LaurentSeries(self.descriptor, start, [], start - 1)
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    k = i + j
-                    if k < n and b:
-                        out[k] = out[k] + a * b
-        return LaurentSeries(self.descriptor, start, out, trunc)
-
-    __rmul__ = scale
-
-    def __pow__(self, e):
-        """self^e by repeated squaring; a negative e inverts first."""
-        if e < 0:
-            return self.inverse() ** -e
-        # the unit gets this series' window so it does not truncate products
-        d = self.descriptor
-        result = LaurentSeries(d, 0, [d.one()] + [d.zero()] * max(0, self.trunc - self.start))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def window(self):
-        """(start, trunc): the orders the series knows."""
-        return self.start, self.trunc
-
-    def shift(self, k):
-        """Multiply by t^k."""
-        return LaurentSeries(
-            self.descriptor, self.start + k, list(self.coeffs), self.trunc + k
-        )
-
-    def inverse(self):
-        """Reciprocal; requires a nonzero coefficient at the start order."""
-        if not self.coeffs or self.coeffs[0].is_zero():
-            raise ZeroDivisionError("series inverse needs a unit leading coefficient")
-        n = self.trunc - self.start + 1
-        inv0 = self.coeffs[0].inverse()
-        out = [inv0] + [self.descriptor.zero()] * (n - 1)
-        for k in range(1, n):
-            acc = self.descriptor.zero()
-            for j in range(1, k + 1):
-                if j < len(self.coeffs):
-                    acc = acc + self.coeffs[j] * out[k - j]
-            out[k] = -acc * inv0
-        return LaurentSeries(self.descriptor, -self.start, out, -self.start + n - 1)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def nth_root(self, m, lead_root):
-        """A series y with y^m = self, for m prime to the characteristic.
-
-        The start order must be divisible by m.  ``lead_root``, an m-th
-        root of the leading coefficient, fixes the branch: for p not
-        dividing m the root with that leading coefficient is unique.
-        Newton's iteration y <- ((m - 1) y + u / y^(m-1)) / m on the
-        unit part u (u_0 = 1), from y = 1, doubles the correct prefix at
-        every step, since the derivative m y^(m-1) is a unit.
-        """
-        d = self.descriptor
-        if m % d.p == 0:
-            raise ValueError("root index divisible by the characteristic")
-        if not self.coeffs or self.coeffs[0].is_zero():
-            raise ValueError("series root needs a unit leading coefficient")
-        if self.start % m != 0:
-            raise ValueError("start order not divisible by the root index")
-        c0 = self.coeffs[0]
-        if lead_root**m != c0:
-            raise ValueError("lead_root is not an m-th root of the leading coefficient")
-        n = self.trunc - self.start + 1
-        u = self.shift(-self.start).scale(c0.inverse())
-        y = LaurentSeries(d, 0, [d.one()] + [d.zero()] * (n - 1))
-        minv = d.element(m).inverse()
-        known = 1
-        while known < n:
-            y = (y.scale(m - 1) + u * y ** (1 - m)).scale(minv)
-            known *= 2
-        return y.scale(lead_root).shift(self.start // m)
-
-    def derivative(self):
-        """Term-wise d/dt."""
-        coeffs = [
-            self.descriptor.element(n) * self.coeff(n)
-            for n in range(self.start, self.trunc + 1)
-        ]
-        return LaurentSeries(self.descriptor, self.start - 1, coeffs, self.trunc - 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        if self.descriptor != other.descriptor:
-            return False
-        lo = min(self.start, other.start)
-        hi = min(self.trunc, other.trunc)
-        return all(self.coeff(n) == other.coeff(n) for n in range(lo, hi + 1))
-
-    def __repr__(self):
-        terms = [
-            f"({self.coeff(n)!r})*t^{n}"
-            for n in range(self.start, self.trunc + 1)
-            if self.coeff(n)
-        ]
-        body = " + ".join(terms) if terms else "0"
-        return f"LaurentSeries({body} + O(t^{self.trunc + 1}))"
 
 
 def nth_root_in_field(a, m):

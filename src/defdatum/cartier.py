@@ -4,7 +4,7 @@ A form on the cover is a ``FormCombination`` sum_i h_i(x) * z_i * dx,
 one level i per Frobenius step of the exponent orbit (a single eigenform
 has one nonzero level).  Each h_i is a ``BranchFraction``, a numerator
 over known powers of the x - tau_j at the finite branch points, so no
-form on the way to an expansion or a residue is reduced by a gcd.  The
+form on the way to an order or a residue is reduced by a gcd.  The
 Cartier operator on a fraction is one p-th-power split of its exponents
 (``cartier_fraction``), with no gcd and no division.  The operator sends
 level i+1 to level i via z_{i+1} = z_i^p * prod (x-tau_j)^{e_j} with
@@ -12,53 +12,32 @@ integer exponents e_j = (b^(i+1) - p b^(i))/m; the root-of-unity
 ambiguity in that relation is fixed as 1 (any other choice is absorbed
 by the eigenform constants).
 
-Local expansions at critical points are plain Laurent series.  Over
-the dual numbers k[eps], with the branch points moved to tau_k + eps
-delta_k and the h_l lifted to h_l + eps theta_l, the expansion at c is
-base + eps * rest: the base is the expansion of sum_l h_l z_l dx, and
-the rest is the expansion of the derived form ``epsilon_form``,
+Orders at critical points are read in closed form: h_l z_l dx has order
+m_c ord(h_l) + ord(z_l) + m_c - 1 in the local parameter t, x = tau_c +
+t^{m_c} (``ord_single_form``), and the branch of z_0 there starts with
+the root ``branch_root``.  Over the dual numbers k[eps], with the branch
+points moved to tau_k + eps delta_k and the h_l lifted to h_l + eps
+theta_l, a form's expansion at c is base + eps * rest: the base is the
+expansion of sum_l h_l z_l dx, and the rest is the expansion of the
+derived form ``epsilon_form``,
 
     sum_l (theta_l + delta_c h_l' + h_l (1/m) sum_{k != c} (delta_c - delta_k) b_k^(l) / (x - tau_k)) z_l dx,
 
 because in the local parameter x = tau_c + eps delta_c + t^{m_c} only
 the other factors of the radicand move (its docstring has the
-derivation).
-
-Precision comes from valuations, and nothing is retried.  An expansion
-at the center c is built once from series of
-
-    L = max(upto, v) - v + 1 + [c finite] m_c (1 + D)
-
-terms: v is the least ``ord_single_form`` (the exact order of a term
-h_l z_l dx) over the nonzero h_l, m_c the ramification index at c and D
-the largest |ord_{tau_c} h_l|, the multiplicity of tau_c in the
-numerator or the denominator of h_l once their common factors x - tau_c
-are divided out (``BranchFraction.reduced_at``).  Products, inverses and
-m-th roots of series keep the least relative precision of their
-factors.  It is lost only by the factor x - tau_c = t^{m_c} of the
-radicand (m_c), by a numerator with a D-fold zero at tau_c (m_c D, and
-m_c more at tau_c = 0, where x itself starts at t^{m_c}) and by the
-same factor in the denominator, whose series is a product of powers of
-the factor series (m_c); nothing is lost at infinity.  So every
-coefficient through ``upto`` is exact.  The derived form is sized by
-its own orders.
+derivation).  So the orders of the derived form's levels are closed
+forms too, and no series is built; the Laurent expansions themselves are
+test oracles.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
 from operator import add, sub
 
-from .algebra import (
-    INF,
-    FieldDescriptor,
-    LaurentSeries,
-    Poly,
-    nth_root_with_extension,
-)
+from .algebra import INF, FieldDescriptor, Poly, nth_root_with_extension
 from .homcoh import rank_mod_p
 
 
@@ -603,22 +582,7 @@ def _primitive_root_of_unity(descriptor, m):
 
 
 # ---------------------------------------------------------------------------
-# local expansions
-
-
-def _monomial(descriptor, c, k, length):
-    """c t^k, known through order k + length - 1."""
-    coeffs = [descriptor.element(c)] + [descriptor.zero()] * (length - 1)
-    return LaurentSeries(descriptor, k, coeffs)
-
-
-def _eval_poly(poly, x):
-    d = poly.descriptor
-    acc = None
-    for c in reversed(poly.coeffs):
-        cd = _monomial(d, c, 0, x.trunc - x.start + 1)
-        acc = cd if acc is None else acc * x + cd
-    return acc
+# orders and branches at critical points
 
 
 def branch_root(cover, center):
@@ -628,8 +592,9 @@ def branch_root(cover, center):
     tau_k)^{b_k^(0)} at a finite center c and 1 at infinity; the root is
     its least m-th root (serialization order) in the least extension of
     the cover's field that holds one (``nth_root_with_extension``).  It
-    depends on the cover and the center alone, so a caller expanding
-    many forms at one point takes it once.
+    depends on the cover and the center alone: the leading coefficient
+    of z_0 there, and a test oracle expanding many forms at one point
+    takes it once.
     """
     lead = cover.descriptor.one()
     if center is not INF:
@@ -637,119 +602,6 @@ def branch_root(cover, center):
             if k != center:
                 lead = lead * (cover.taus[center] - tau_k) ** orbit[0]
     return nth_root_with_extension(lead, cover.m)
-
-
-def expand_combination(cover, hs, center, upto, branch):
-    """Expansion of a nonzero sum_l h_l z_l dx at a critical point.
-
-    ``center`` is a finite branch index or INF.  The local parameter is t
-    with x = tau_c + t^{m_c} (resp. x = t^{-m_inf}); returns the
-    dt-coefficient with coefficients up to order ``upto``, over the
-    cover's field or the minimal extension needed for the branch
-    constant of z.  Over the dual numbers the epsilon-part is the
-    expansion of ``epsilon_form``.
-
-    The branch of z_0 is fixed by ``branch``, the (root, field) of
-    ``branch_root`` at this center; higher levels follow from the
-    Frobenius recursion, so all levels use consistent branches.
-
-    It is the sum of the form's level series from ``expand_levels``: one
-    frame of L = max(upto, v) - v + 1 + [c finite] m_c (1 + D) terms,
-    from the valuations named and justified in the module docstring,
-    built once; there is no retry, and a window ending below ``upto``
-    raises ArithmeticError.
-    """
-    (levels,) = expand_levels(cover, [hs], center, upto, branch)
-    return functools.reduce(add, [ser for ser in levels if ser is not None])
-
-
-def expand_levels(cover, forms, center, upto, branch):
-    """Level series of several nonzero forms sum_l h_l z_l dx at one critical point.
-
-    ``forms`` lists the forms' h-tuples; returns, per form, one series of
-    h_l z_l dx per level (None where h_l = 0), every one exact through
-    ``upto``, so a caller reads the expansion of sum_l c_l h_l z_l dx,
-    every c_l != 0, as sum_l c_l times the level series.  The window L of
-    ``expand_combination`` depends only on the orders of the nonzero
-    h_l, which such c_l leave alone, and the one frame (``_expand``) is
-    built with the largest L over the forms: a longer window is still
-    exact.
-    """
-    reduced, length = [], 0
-    for hs in forms:
-        orders = _term_orders(cover, hs, center)
-        if not orders:
-            raise ValueError("the zero form has no expansion")
-        v = min(orders)
-        size = max(upto, v) - v + 1
-        if center is not INF:
-            hs = tuple(h.reduced_at(center) for h in hs)
-            mult = max(abs(h.order(center)) for h in hs if not h.is_zero())
-            size += cover.m_at(center) * (1 + mult)
-        reduced.append(hs)
-        length = max(length, size)
-    out = _expand(cover, reduced, center, length, branch)
-    if any(ser.window()[1] < upto for levels in out for ser in levels if ser is not None):
-        raise ArithmeticError("expansion ends below upto: the precision rule is broken")
-    return out
-
-
-def _expand(cover, forms, center, length, branch):
-    """The local frame at a critical point, from series of ``length`` terms,
-    and every form's level series in it.
-
-    The frame is x, dx, the factor series x - tau_k, z_0 (the m-th root
-    of the radicand, by Newton) and the z_l of the Frobenius recursion.
-    Each nonzero h_l = P_l / prod (x - tau_k)^{e_k} gives the series of
-    P_l z_l dx times the inverse of a product of powers of the factor
-    series, one inverse per exponent vector over all the forms; a zero
-    h_l gives None.
-    """
-    m = cover.m
-    mj = cover.m_at(center)
-    root, desc = branch
-    if desc != cover.descriptor:
-        cover = cover.embed(desc)
-        forms = [tuple(h.embed(desc, cover.taus) for h in hs) for hs in forms]
-    if center is INF:
-        x = _monomial(desc, 1, -mj, length)
-        dx = x.derivative()
-    else:
-        x = _monomial(desc, cover.taus[center], 0, length) + _monomial(desc, 1, mj, length - mj)
-        dx = _monomial(desc, mj, mj - 1, length)
-    factors = [x - _monomial(desc, t, 0, length) for t in cover.taus]
-    # z_0 from the radicand, then the Frobenius recursion
-    rad = _monomial(desc, 1, 0, length)
-    for k, (fk, orbit) in enumerate(zip(factors, cover.orbits)):
-        rad = fk ** orbit[0] if k == 0 else rad * fk ** orbit[0]
-    zs = [rad.nth_root(m, root)]
-    for level in range(1, cover.s):
-        z = zs[-1] ** desc.p
-        for fk, e in zip(factors, cover.step_exponents(level)):
-            if e:
-                z = z * fk**e
-        zs.append(z)
-    inverses = {}
-    out = []
-    for hs in forms:
-        levels = []
-        for h, z in zip(hs, zs):
-            if h.is_zero():
-                levels.append(None)
-                continue
-            term = _eval_poly(h.num, x) * z * dx
-            if any(h.exps):
-                inv = inverses.get(h.exps)
-                if inv is None:
-                    den = None
-                    for fk, e in zip(factors, h.exps):
-                        if e:
-                            den = fk**e if den is None else den * fk**e
-                    inv = inverses[h.exps] = den.inverse()
-                term = term * inv
-            levels.append(term)
-        out.append(levels)
-    return out
 
 
 def epsilon_form(combo, center, delta, thetas=None):
@@ -802,15 +654,6 @@ def epsilon_form(combo, center, delta, thetas=None):
             g = g + h.derivative() * delta_c
         out.append(g + thetas[level] if thetas else g)
     return FormCombination(cover, tuple(out))
-
-
-def _term_orders(cover, hs, center):
-    """The ``ord_single_form`` of each nonzero term h_l z_l dx."""
-    return [
-        ord_single_form(cover, level, h, center)
-        for level, h in enumerate(hs)
-        if not h.is_zero()
-    ]
 
 
 def ord_single_form(cover, level, h, center):

@@ -4,13 +4,17 @@ A tangent direction assigns to every new branch point an epsilon-shift
 delta_j; the eigenforms pick up epsilon-corrections theta_i whose
 exactness (equivalently, membership in the Cartier kernel) is a linear
 condition.  Solving it produces the lifted datum; specialty of the lift
-at each new point is then read off from honest local expansions over
-k[eps], whose epsilon-part is the plain expansion of the derived form
-``cartier.epsilon_form``, and the generic failure of specialty along
-every direction is the rigidity statement.  The expansions are taken
-level by level, once per lift and point: every element of the fixed
-space scales level i by c^{p^i}, c in F_{p^s}, so each c is read off
-the level series by linearity.
+at each new point is a condition on its expansions over k[eps] for every
+element of the fixed space, whose epsilon-part is the plain expansion of
+the derived form ``cartier.epsilon_form``, and the generic failure of
+specialty along every direction is the rigidity statement.  No expansion
+is built: every element of the fixed space scales level l by c^{p^l}, c
+in F_{p^s}, and these are s distinct characters of F_{p^s}^x, so by
+Dedekind's independence of characters (Lang, Algebra, VI 4) the
+epsilon-part vanishes below the target order for every c iff each level
+does, which closed-form orders decide.  The base expansion's coefficient
+at the target order is a sum of leading coefficients over the levels of
+least order, a unit for every c when that level is unique.
 
 Every form on the way is a ``cartier.BranchFraction``, a numerator over
 powers of the x - tau at the finite branch points, whose exponents are
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cartier, sigdata
-from .algebra import INF, FieldDescriptor, LaurentSeries, Poly
+from .algebra import INF, FieldDescriptor, Poly
 from .homcoh import rank_mod_p, solve_mod_p
 
 
@@ -189,85 +193,123 @@ def kodaira_spencer(deformed):
     return tuple(out)
 
 
-def branch_roots(datum):
-    """The branch of z at each new point for its specialty expansions:
-    ``cartier.branch_root`` on the datum's cover over ``field_with_roots``.
+def _target(datum, k):
+    """(slot, M): the cover index of the k-th new point and M = m_j + a_min - 1."""
+    slot, j = _new_slots(datum)[k]
+    sig = datum.signature
+    return slot, sig.m_j(j) + sig.a_min(j) - 1
 
-    It depends on the datum and the point alone, so it is taken once and
-    shared by every lift of the datum.
+
+def _least_levels(datum, k):
+    """The levels of omega whose term has the least order at the k-th new point.
+
+    Level l of omega is (eps_l/Q) z_l dx, of order m_j b^(l)/m + m_j - 1
+    there (``cartier.ord_single_form``), so the least order is M, taken
+    on the levels where the orbit of the point is least.  Any other
+    least order is an ArithmeticError.
     """
-    cover = datum.embedded(datum.field_with_roots()).cover
-    return [cartier.branch_root(cover, slot) for slot, _ in _new_slots(datum)]
+    slot, target = _target(datum, k)
+    cover = datum.cover
+    orders = {
+        level: cartier.ord_single_form(cover, level, h, slot)
+        for level, h in enumerate(cartier.omega_combination(datum).hs)
+        if not h.is_zero()
+    }
+    if min(orders.values(), default=None) != target:
+        raise ArithmeticError(f"new point {k}: omega's least order is not M = {target}")
+    return [level for level, order in orders.items() if order == target]
 
 
-def is_j_special(deformed, k, branch):
-    """Specialty of the lift at the k-th new point, over the dual numbers.
+def _leading_coefficients(datum, k, levels):
+    """(A_l for l in ``levels``, field): the coefficients at M of omega's levels.
 
-    Every nonzero element of the fixed space (coefficients c^{p^i} for
-    c in F_{p^s}, scaled onto the omega_i) is expanded at the moved
-    branch point; specialty needs every coefficient below
-    M = m_j + a_j - 1 to vanish identically (epsilon-parts included)
-    and the coefficient at M to be a unit.  The expansions of every c
-    are read off one frame of level series (``_specialty_series``).
-    ``branch`` is the point's entry of ``branch_roots``.
+    In the local parameter t, x = tau_c + t^{m_j}, so 1/Q starts with
+    Q(tau_c)^{-1} and dx with m_j.  z_0 starts with the branch root rho
+    (``cartier.branch_root``), and z_l = z_{l-1}^p prod (x -
+    tau_k)^{e_k^(l)} with e^(l) = ``step_exponents(l)`` starts with
+    lead_l = lead_{l-1}^p prod_{k != c} (tau_c - tau_k)^{e_k^(l)}, the
+    point's own factor being t^{m_j e_c}.  So A_l = eps_l Q(tau_c)^{-1}
+    lead_l m_j, over the field of rho.
     """
-    for base, eps, target in _specialty_series(deformed, k, branch):
-        # a series starts at its first nonzero coefficient
-        if base.order() != target or eps.start < target:
+    slot, _ = _new_slots(datum)[k]
+    big = datum.embedded(datum.field_with_roots())
+    cover = big.cover
+    root, field = cartier.branch_root(cover, slot)
+    tau = cover.taus[slot]
+    scale = big.descriptor.element(cover.m_at(slot)) / big.q_poly.evaluate(tau)
+    lead, out = root, []
+    for level in range(max(levels) + 1):
+        if level:
+            step = big.descriptor.one()
+            for i, (tau_i, e) in enumerate(zip(cover.taus, cover.step_exponents(level))):
+                if e and i != slot:
+                    step = step * (tau - tau_i) ** e
+            lead = lead**field.p * step.embed(field)
+        if level in levels:
+            out.append(lead * (big.epsilon[level] * scale).embed(field))
+    return out, field
+
+
+def _omega_is_special(datum, k):
+    """omega scaled by any c in F_{p^s}^x has order exactly M at the k-th new point.
+
+    Level l scales by c^{p^l}, and no level's order is below M
+    (``_least_levels``), so the order is M iff the coefficient at M,
+    sum over the least levels l of A_l c^{p^l}, is nonzero.  With one
+    least level it is the unit A_l c^{p^l} for every c, and no root is
+    taken; at a tie point the p^s - 1 sums are evaluated.
+    """
+    levels = _least_levels(datum, k)
+    if len(levels) == 1:
+        return True
+    leads, field = _leading_coefficients(datum, k, levels)
+    p = field.p
+    big = datum.field_with_roots()
+    for c0 in FieldDescriptor.get(p, datum.cover.s).elements():
+        if c0.is_zero():
+            continue
+        c = c0.embed(big).embed(field)
+        if not sum((a * c ** (p**level) for a, level in zip(leads, levels)), field.zero()):
             return False
     return True
 
 
-def _specialty_series(deformed, k, branch):
-    """(base, epsilon-part, M) through order M at the k-th new point, per
-    nonzero c in F_{p^s}.
+def _epsilon_vanishes(deformed, k):
+    """The epsilon-part of the lift's specialty expansions at the k-th new
+    point vanishes below M for every c in F_{p^s}^x.
 
-    The expansion is F_p-linear in c level by level: level i scales by
-    c^{p^i}, and so does level i of the epsilon-part's form, which is
-    linear in the h_i.  So omega's level series a_{i,n} and, when it is
-    nonzero, the epsilon-part's come from one frame
-    (``cartier.expand_levels``), and each c takes its coefficients
-    n <= M as sum_i c^{p^i} a_{i,n}, with c embedded F_{p^s} ->
-    ``field_with_roots`` -> the branch field.  A zero epsilon-part gives
-    the zero series.
+    Its levels are those of ``cartier.epsilon_form``, scaled by c^{p^l}.
+    The c -> c^{p^l}, l < s, are s distinct characters of F_{p^s}^x, so
+    by Dedekind's independence of characters sum_l c^{p^l} a_{l,n} = 0
+    for every c iff every a_{l,n} = 0: the part vanishes below M iff
+    every nonzero level has ``ord_single_form`` >= M.
     """
     datum = deformed.base
-    sig = datum.signature
-    slot, j = _new_slots(datum)[k]
-    target = sig.m_j(j) + sig.a_min(j) - 1
-    s = datum.cover.s
-    d = datum.descriptor
-    big = datum.field_with_roots()
-    unit = cartier.omega_combination(datum.embedded(big))
-    eps_unit = cartier.epsilon_form(
-        unit,
-        slot,
-        {slot: deformed.delta[k].embed(big)},
-        [t.embed(big, unit.cover.taus) for t in deformed.h],
+    slot, target = _target(datum, k)
+    g = cartier.epsilon_form(
+        cartier.omega_combination(datum), slot, {slot: deformed.delta[k]}, deformed.h
     )
-    forms = [unit.hs] if eps_unit.is_zero() else [unit.hs, eps_unit.hs]
-    base, *eps = cartier.expand_levels(unit.cover, forms, slot, target, branch)
-    desc = branch[1]
-    for c0 in FieldDescriptor.get(d.p, s).elements():
-        if c0.is_zero():
-            continue
-        c = c0.embed(big).embed(desc)
-        cs = [c ** (d.p**i) for i in range(s)]
-        yield (
-            _combine(base, cs, target),
-            _combine(eps[0], cs, target) if eps else LaurentSeries(desc, target + 1, []),
-            target,
-        )
+    return all(
+        cartier.ord_single_form(datum.cover, level, g_l, slot) >= target
+        for level, g_l in enumerate(g.hs)
+        if not g_l.is_zero()
+    )
 
 
-def _combine(levels, cs, upto):
-    """sum_i cs[i] levels[i] through order ``upto``; a None level is zero."""
-    terms = [(c, ser) for c, ser in zip(cs, levels) if ser is not None]
-    desc = terms[0][1].descriptor
-    start = min(upto + 1, *(ser.start for _, ser in terms))
-    zero = desc.zero()
-    coeffs = [sum((c * ser.coeff(n) for c, ser in terms), zero) for n in range(start, upto + 1)]
-    return LaurentSeries(desc, start, coeffs, upto)
+def is_j_special(deformed, k):
+    """Specialty of the lift at the k-th new point, over the dual numbers.
+
+    Every nonzero element of the fixed space (coefficients c^{p^l} for
+    c in F_{p^s}, scaled onto the omega_l) must have, at the moved
+    branch point, a base expansion of order exactly M = m_j + a_min - 1
+    and an epsilon-part that vanishes below M.  Both are decided from
+    closed-form orders and leading coefficients, with no local
+    expansion: the epsilon-part level by level (``_epsilon_vanishes``,
+    by Dedekind's independence of characters) and the base by its
+    coefficient at M (``_omega_is_special``), which depends on the datum
+    and the point alone.
+    """
+    return _epsilon_vanishes(deformed, k) and _omega_is_special(deformed.base, k)
 
 
 def rigidity_check(datum):
@@ -283,26 +325,29 @@ def rigidity_check(datum):
     c h is a correction for c delta, and it is the one ``lift_datum``
     returns, as that raises unless the correction is unique.
     Kodaira-Spencer and the epsilon-part of every specialty expansion
-    (``cartier.epsilon_form``, then its level series) scale by c too, and
-    a unit c changes neither a round trip nor where a series starts.
-    Each ``is_j_special`` call expands omega and the epsilon-part level
-    by level in one frame and reads every element of the fixed space off
-    those series.  The branch of z at each new point (``branch_roots``)
-    is taken once and shared by every lift.
+    (``cartier.epsilon_form``) scale by c too, and a unit c changes
+    neither a round trip nor an order.  Specialty splits as in
+    ``is_j_special``: omega's part depends on the datum and the point
+    alone and is decided once per point, and each lift tests only its
+    epsilon-part.
     """
     d = datum.descriptor
     n_new = len(datum.tau)
-    branches = branch_roots(datum)
     zero = (d.zero(),) * n_new
     lifted0 = lift_datum(datum, zero)
+    omega_special = [_omega_is_special(datum, k) for k in range(n_new)]
+
+    def special(lifted, k):
+        return omega_special[k] and _epsilon_vanishes(lifted, k)
+
     zero_roundtrip = kodaira_spencer(lifted0) == zero
-    zero_special = all(is_j_special(lifted0, k, branches[k]) for k in range(n_new))
+    zero_special = all(special(lifted0, k) for k in range(n_new))
     directions, all_fail = [], True
     for k in range(n_new):
         unit = tuple(d.one() if j == k else d.zero() for j in range(n_new))
         lifted = lift_datum(datum, unit)
         roundtrip = kodaira_spencer(lifted) == unit
-        fails_at = [j for j in range(n_new) if not is_j_special(lifted, j, branches[j])]
+        fails_at = [j for j in range(n_new) if not special(lifted, j)]
         all_fail = all_fail and roundtrip and bool(fails_at)
         directions += [
             {"delta": [(c * v).to_json() for v in unit], "roundtrip": roundtrip,

@@ -4,8 +4,9 @@ structure.
 No command runs anything here.  Each oracle is compared with the
 package's path in the unit suites:
 
-- ``group_cochain_complex`` (one dense differential over the invariants
-  of a whole degree) with ``homcoh.group_cochain_blocks``;
+- ``group_cochain_complex`` (one sparse differential over the invariants
+  of a whole degree, ranked by ``sparse_rank``) with
+  ``homcoh.group_cochain_blocks``;
 - ``verify_resolution_homotopy_per_key`` (every basis key) with
   ``homcoh.verify_resolution_homotopy`` (one key per equality pattern);
 - ``enumerate_signatures_bruteforce`` (every residue tuple) and
@@ -48,26 +49,36 @@ package's path in the unit suites:
 - ``epsilon_form_by_rationals`` (the derived form over normalized
   rational functions) with ``cartier.epsilon_form`` (fractions over the
   branch points);
-- ``is_j_special_by_expansions`` (one ``cartier.expand_combination``
-  per c in F_{p^s}^x, of omega and of the epsilon-part scaled by the
-  c^{p^i}) with ``deform.is_j_special`` (one frame of level series,
-  every c read off them by linearity);
+- ``expand_combination`` and ``expand_levels`` (truncated
+  ``LaurentSeries`` of a form at a critical point, from one frame: x,
+  the factor series, z_0 by Newton's m-th root, the Frobenius recursion
+  and series inverses) with ``cartier.ord_single_form`` (each level's
+  order in closed form) and ``deform._leading_coefficients`` (omega's
+  coefficients at M from the branch root and the step exponents);
+- ``is_j_special_by_expansions`` (one ``expand_combination`` per c in
+  F_{p^s}^x, of omega and of the epsilon-part scaled by the c^{p^i})
+  and ``specialty_series`` (one frame of level series per lift and
+  point, every c read off them by linearity) with
+  ``deform.is_j_special`` (closed-form orders and leading
+  coefficients, no series);
 - ``rigidity_check_by_directions`` (one lift, round trip and specialty
   test by ``is_j_special_by_expansions`` per direction c e_k, c in
   F_q^x) with ``deform.rigidity_check`` (one lift per unit vector e_k,
-  the line F_q^x e_k by linearity), on the ``LIFT_CONFIGS`` data with
-  q <= 25, the two-new-point (7, 2, 5, 1) data and the non-rigid
-  (7, 4, 4, 1) data;
+  the line F_q^x e_k by linearity, omega's part of specialty once per
+  point), on the ``LIFT_CONFIGS`` data with q <= 25, the two-new-point
+  (7, 2, 5, 1) data and the non-rigid (7, 4, 4, 1) data;
 - ``series_at`` (the Laurent expansion of a rational function) with
-  ``cartier.expand_combination`` on the trivial cover, and with the
+  ``expand_combination`` on the trivial cover, and with the
   closed-form residues of ``deform.kodaira_spencer``.
 """
 
+import functools
 import itertools
+import operator
 from math import gcd
 
 from defdatum import cartier, deform, homcoh, search, sigdata
-from defdatum.algebra import INF, FieldDescriptor, FieldElement, LaurentSeries, Poly
+from defdatum.algebra import INF, FieldDescriptor, FieldElement, Poly
 from defdatum.cartier import BranchFraction, FormCombination
 
 
@@ -115,33 +126,81 @@ def invariant_basis(M, basis):
     return out
 
 
+def sparse_rank(vectors, p):
+    """F_p-rank of sparse vectors (dicts index -> coefficient), by elimination.
+
+    Each vector is reduced by the stored pivot vectors at its least index
+    until it is zero or has a new pivot there.
+    """
+    pivots = {}
+    for vec in vectors:
+        vec = {i: c % p for i, c in vec.items() if c % p}
+        while vec:
+            i = min(vec)
+            pivot = pivots.get(i)
+            if pivot is None:
+                inv = pow(vec[i], p - 2, p)
+                pivots[i] = {j: c * inv % p for j, c in vec.items()}
+                break
+            c = vec[i]
+            for j, a in pivot.items():
+                v = (vec.get(j, 0) - c * a) % p
+                if v:
+                    vec[j] = v
+                else:
+                    vec.pop(j, None)
+    return len(pivots)
+
+
+class SparseCochainComplex:
+    """Differentials as sparse columns: ``columns[n][i]`` is the image of
+    the i-th basis vector of degree n, a dict row -> coefficient mod p.
+
+    d.d = 0 is checked on construction, column by column.
+    """
+
+    def __init__(self, p, dims, columns):
+        for n in range(len(columns) - 1):
+            for col in columns[n]:
+                image = {}
+                for j, c in col.items():
+                    for k, a in columns[n + 1][j].items():
+                        image[k] = (image.get(k, 0) + c * a) % p
+                if any(image.values()):
+                    raise ValueError(f"d{n + 1} . d{n} != 0")
+        self.p = p
+        self.dims = tuple(dims)
+        self.columns = tuple(columns)
+
+    def cohomology_dims(self):
+        """dim H^n = dims[n] - rank d_n - rank d_{n-1} in every degree."""
+        ranks = [sparse_rank(cols, self.p) for cols in self.columns] + [0]
+        return [n - ranks[i] - (ranks[i - 1] if i else 0) for i, n in enumerate(self.dims)]
+
+
 def group_cochain_complex(M, nmax):
     """The H-invariant cochain complex of G = G_0 x| H in degrees 0..nmax+1.
 
     Every degree's (p^s)^n dim M cochains are listed and each
-    differential is one dense matrix over the invariants of a whole
-    degree.
+    differential is one sparse matrix over the invariants of a whole
+    degree, ranked by ``sparse_rank``.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    degree_data = []
-    for n in range(nmax + 2):
-        basis = list(cochain_basis(M, n))
-        degree_data.append((basis, invariant_basis(M, basis)))
-    dims = tuple(len(inv) for _, inv in degree_data)
-    mats = []
+    invariants = [invariant_basis(M, list(cochain_basis(M, n))) for n in range(nmax + 2)]
+    columns = []
     for n in range(nmax + 1):
-        _, inv_n = degree_data[n]
-        _, inv_n1 = degree_data[n + 1]
-        rep_index = {k0: j for j, (_, k0) in enumerate(inv_n1)}
-        D = [[0] * len(inv_n) for _ in inv_n1]
-        for col, (vec, _) in enumerate(inv_n):
+        rep_index = {k0: j for j, (_, k0) in enumerate(invariants[n + 1])}
+        cols = []
+        for vec, _ in invariants[n]:
+            col = {}
             for k, c in homcoh._cochain_differential(M, n, vec).items():
                 j = rep_index.get(k)
-                if j is not None:
-                    D[j][col] = c
-        mats.append(D)
-    return homcoh.CochainComplex(M.p, dims, tuple(mats))
+                if j is not None and c % M.p:
+                    col[j] = c % M.p
+            cols.append(col)
+        columns.append(cols)
+    return SparseCochainComplex(M.p, [len(inv) for inv in invariants], columns)
 
 
 def verify_resolution_homotopy_per_key(M, nmax):
@@ -550,6 +609,352 @@ def check_candidate_by_rationals(sig, descriptor, tau_new):
     return lams, None
 
 
+# ---------------------------------------------------------------------------
+# truncated Laurent series and local expansions: the reference for the
+# closed-form orders and leading coefficients of ``cartier`` and ``deform``
+#
+# Precision comes from valuations, and nothing is retried.  An expansion
+# at the center c is built once from series of
+#
+#     L = max(upto, v) - v + 1 + [c finite] m_c (1 + D)
+#
+# terms: v is the least ``cartier.ord_single_form`` (the exact order of a
+# term h_l z_l dx) over the nonzero h_l, m_c the ramification index at c
+# and D the largest |ord_{tau_c} h_l|, the multiplicity of tau_c in the
+# numerator or the denominator of h_l once their common factors x - tau_c
+# are divided out (``BranchFraction.reduced_at``).  Products, inverses and
+# m-th roots of series keep the least relative precision of their
+# factors.  It is lost only by the factor x - tau_c = t^{m_c} of the
+# radicand (m_c), by a numerator with a D-fold zero at tau_c (m_c D, and
+# m_c more at tau_c = 0, where x itself starts at t^{m_c}) and by the
+# same factor in the denominator, whose series is a product of powers of
+# the factor series (m_c); nothing is lost at infinity.  So every
+# coefficient through ``upto`` is exact.  The derived form is sized by
+# its own orders.
+
+
+class LaurentSeries:
+    """Truncated Laurent expansion: coefficients for orders start..trunc."""
+
+    __slots__ = ("descriptor", "start", "coeffs", "trunc")
+
+    def __init__(self, descriptor, start, coeffs, trunc=None):
+        coeffs = list(coeffs)
+        if trunc is None:
+            trunc = start + len(coeffs) - 1
+        if trunc - start + 1 != len(coeffs):
+            raise ValueError("coefficient window does not match orders")
+        # canonical window: drop leading zeros (keeps truncation order)
+        while coeffs and coeffs[0].is_zero():
+            coeffs = coeffs[1:]
+            start += 1
+        if not coeffs:
+            start = trunc + 1
+        self.descriptor = descriptor
+        self.start = start
+        self.coeffs = tuple(coeffs)
+        self.trunc = trunc
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.coeffs)
+
+    def order(self):
+        for k, c in enumerate(self.coeffs):
+            if c:
+                return self.start + k
+        return None
+
+    def coeff(self, n):
+        if n < self.start or n > self.trunc:
+            return self.descriptor.zero()
+        return self.coeffs[n - self.start]
+
+    def __add__(self, other):
+        if isinstance(other, LaurentSeries):
+            if other.descriptor != self.descriptor:
+                raise ValueError("field mismatch")
+            start = min(self.start, other.start)
+            trunc = min(self.trunc, other.trunc)
+            coeffs = [self.coeff(n) + other.coeff(n) for n in range(start, trunc + 1)]
+            return LaurentSeries(self.descriptor, start, coeffs, trunc)
+        return NotImplemented
+
+    def __neg__(self):
+        return LaurentSeries(
+            self.descriptor, self.start, [-c for c in self.coeffs], self.trunc
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = self.descriptor.element(c)
+        return LaurentSeries(
+            self.descriptor, self.start, [a * c for a in self.coeffs], self.trunc
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            return self.scale(other)
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        if other.descriptor != self.descriptor:
+            raise ValueError("field mismatch")
+        start = self.start + other.start
+        trunc = min(self.start + other.trunc, other.start + self.trunc)
+        zero = self.descriptor.zero()
+        n = trunc - start + 1
+        if n <= 0:
+            return LaurentSeries(self.descriptor, start, [], start - 1)
+        out = [zero] * n
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    k = i + j
+                    if k < n and b:
+                        out[k] = out[k] + a * b
+        return LaurentSeries(self.descriptor, start, out, trunc)
+
+    __rmul__ = scale
+
+    def __pow__(self, e):
+        """self^e by repeated squaring; a negative e inverts first."""
+        if e < 0:
+            return self.inverse() ** -e
+        # the unit gets this series' window so it does not truncate products
+        d = self.descriptor
+        result = LaurentSeries(d, 0, [d.one()] + [d.zero()] * max(0, self.trunc - self.start))
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def window(self):
+        """(start, trunc): the orders the series knows."""
+        return self.start, self.trunc
+
+    def shift(self, k):
+        """Multiply by t^k."""
+        return LaurentSeries(
+            self.descriptor, self.start + k, list(self.coeffs), self.trunc + k
+        )
+
+    def inverse(self):
+        """Reciprocal; requires a nonzero coefficient at the start order."""
+        if not self.coeffs or self.coeffs[0].is_zero():
+            raise ZeroDivisionError("series inverse needs a unit leading coefficient")
+        n = self.trunc - self.start + 1
+        inv0 = self.coeffs[0].inverse()
+        out = [inv0] + [self.descriptor.zero()] * (n - 1)
+        for k in range(1, n):
+            acc = self.descriptor.zero()
+            for j in range(1, k + 1):
+                if j < len(self.coeffs):
+                    acc = acc + self.coeffs[j] * out[k - j]
+            out[k] = -acc * inv0
+        return LaurentSeries(self.descriptor, -self.start, out, -self.start + n - 1)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def nth_root(self, m, lead_root):
+        """A series y with y^m = self, for m prime to the characteristic.
+
+        The start order must be divisible by m.  ``lead_root``, an m-th
+        root of the leading coefficient, fixes the branch: for p not
+        dividing m the root with that leading coefficient is unique.
+        Newton's iteration y <- ((m - 1) y + u / y^(m-1)) / m on the
+        unit part u (u_0 = 1), from y = 1, doubles the correct prefix at
+        every step, since the derivative m y^(m-1) is a unit.
+        """
+        d = self.descriptor
+        if m % d.p == 0:
+            raise ValueError("root index divisible by the characteristic")
+        if not self.coeffs or self.coeffs[0].is_zero():
+            raise ValueError("series root needs a unit leading coefficient")
+        if self.start % m != 0:
+            raise ValueError("start order not divisible by the root index")
+        c0 = self.coeffs[0]
+        if lead_root**m != c0:
+            raise ValueError("lead_root is not an m-th root of the leading coefficient")
+        n = self.trunc - self.start + 1
+        u = self.shift(-self.start).scale(c0.inverse())
+        y = LaurentSeries(d, 0, [d.one()] + [d.zero()] * (n - 1))
+        minv = d.element(m).inverse()
+        known = 1
+        while known < n:
+            y = (y.scale(m - 1) + u * y ** (1 - m)).scale(minv)
+            known *= 2
+        return y.scale(lead_root).shift(self.start // m)
+
+    def derivative(self):
+        """Term-wise d/dt."""
+        coeffs = [
+            self.descriptor.element(n) * self.coeff(n)
+            for n in range(self.start, self.trunc + 1)
+        ]
+        return LaurentSeries(self.descriptor, self.start - 1, coeffs, self.trunc - 1)
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        if self.descriptor != other.descriptor:
+            return False
+        lo = min(self.start, other.start)
+        hi = min(self.trunc, other.trunc)
+        return all(self.coeff(n) == other.coeff(n) for n in range(lo, hi + 1))
+
+    def __repr__(self):
+        terms = [
+            f"({self.coeff(n)!r})*t^{n}"
+            for n in range(self.start, self.trunc + 1)
+            if self.coeff(n)
+        ]
+        body = " + ".join(terms) if terms else "0"
+        return f"LaurentSeries({body} + O(t^{self.trunc + 1}))"
+
+
+def _monomial(descriptor, c, k, length):
+    """c t^k, known through order k + length - 1."""
+    coeffs = [descriptor.element(c)] + [descriptor.zero()] * (length - 1)
+    return LaurentSeries(descriptor, k, coeffs)
+
+
+def _eval_poly(poly, x):
+    d = poly.descriptor
+    acc = None
+    for c in reversed(poly.coeffs):
+        cd = _monomial(d, c, 0, x.trunc - x.start + 1)
+        acc = cd if acc is None else acc * x + cd
+    return acc
+
+
+def expand_combination(cover, hs, center, upto, branch):
+    """Expansion of a nonzero sum_l h_l z_l dx at a critical point.
+
+    ``center`` is a finite branch index or INF.  The local parameter is t
+    with x = tau_c + t^{m_c} (resp. x = t^{-m_inf}); returns the
+    dt-coefficient with coefficients up to order ``upto``, over the
+    cover's field or the minimal extension needed for the branch
+    constant of z.  Over the dual numbers the epsilon-part is the
+    expansion of ``cartier.epsilon_form``.
+
+    The branch of z_0 is fixed by ``branch``, the (root, field) of
+    ``cartier.branch_root`` at this center; higher levels follow from the
+    Frobenius recursion, so all levels use consistent branches.
+
+    It is the sum of the form's level series from ``expand_levels``: one
+    frame of L = max(upto, v) - v + 1 + [c finite] m_c (1 + D) terms,
+    from the valuations named and justified in the section comment above,
+    built once; there is no retry, and a window ending below ``upto``
+    raises ArithmeticError.
+    """
+    (levels,) = expand_levels(cover, [hs], center, upto, branch)
+    return functools.reduce(operator.add, [ser for ser in levels if ser is not None])
+
+
+def expand_levels(cover, forms, center, upto, branch):
+    """Level series of several nonzero forms sum_l h_l z_l dx at one critical point.
+
+    ``forms`` lists the forms' h-tuples; returns, per form, one series of
+    h_l z_l dx per level (None where h_l = 0), every one exact through
+    ``upto``, so a caller reads the expansion of sum_l c_l h_l z_l dx,
+    every c_l != 0, as sum_l c_l times the level series.  The window L of
+    ``expand_combination`` depends only on the orders of the nonzero
+    h_l, which such c_l leave alone, and the one frame (``_expand``) is
+    built with the largest L over the forms: a longer window is still
+    exact.
+    """
+    reduced, length = [], 0
+    for hs in forms:
+        orders = _term_orders(cover, hs, center)
+        if not orders:
+            raise ValueError("the zero form has no expansion")
+        v = min(orders)
+        size = max(upto, v) - v + 1
+        if center is not INF:
+            hs = tuple(h.reduced_at(center) for h in hs)
+            mult = max(abs(h.order(center)) for h in hs if not h.is_zero())
+            size += cover.m_at(center) * (1 + mult)
+        reduced.append(hs)
+        length = max(length, size)
+    out = _expand(cover, reduced, center, length, branch)
+    if any(ser.window()[1] < upto for levels in out for ser in levels if ser is not None):
+        raise ArithmeticError("expansion ends below upto: the precision rule is broken")
+    return out
+
+
+def _expand(cover, forms, center, length, branch):
+    """The local frame at a critical point, from series of ``length`` terms,
+    and every form's level series in it.
+
+    The frame is x, dx, the factor series x - tau_k, z_0 (the m-th root
+    of the radicand, by Newton) and the z_l of the Frobenius recursion.
+    Each nonzero h_l = P_l / prod (x - tau_k)^{e_k} gives the series of
+    P_l z_l dx times the inverse of a product of powers of the factor
+    series, one inverse per exponent vector over all the forms; a zero
+    h_l gives None.
+    """
+    m = cover.m
+    mj = cover.m_at(center)
+    root, desc = branch
+    if desc != cover.descriptor:
+        cover = cover.embed(desc)
+        forms = [tuple(h.embed(desc, cover.taus) for h in hs) for hs in forms]
+    if center is INF:
+        x = _monomial(desc, 1, -mj, length)
+        dx = x.derivative()
+    else:
+        x = _monomial(desc, cover.taus[center], 0, length) + _monomial(desc, 1, mj, length - mj)
+        dx = _monomial(desc, mj, mj - 1, length)
+    factors = [x - _monomial(desc, t, 0, length) for t in cover.taus]
+    # z_0 from the radicand, then the Frobenius recursion
+    rad = _monomial(desc, 1, 0, length)
+    for k, (fk, orbit) in enumerate(zip(factors, cover.orbits)):
+        rad = fk ** orbit[0] if k == 0 else rad * fk ** orbit[0]
+    zs = [rad.nth_root(m, root)]
+    for level in range(1, cover.s):
+        z = zs[-1] ** desc.p
+        for fk, e in zip(factors, cover.step_exponents(level)):
+            if e:
+                z = z * fk**e
+        zs.append(z)
+    inverses = {}
+    out = []
+    for hs in forms:
+        levels = []
+        for h, z in zip(hs, zs):
+            if h.is_zero():
+                levels.append(None)
+                continue
+            term = _eval_poly(h.num, x) * z * dx
+            if any(h.exps):
+                inv = inverses.get(h.exps)
+                if inv is None:
+                    den = None
+                    for fk, e in zip(factors, h.exps):
+                        if e:
+                            den = fk**e if den is None else den * fk**e
+                    inv = inverses[h.exps] = den.inverse()
+                term = term * inv
+            levels.append(term)
+        out.append(levels)
+    return out
+
+
+def _term_orders(cover, hs, center):
+    """The ``cartier.ord_single_form`` of each nonzero term h_l z_l dx."""
+    return [
+        cartier.ord_single_form(cover, level, h, center)
+        for level, h in enumerate(hs)
+        if not h.is_zero()
+    ]
+
+
 def omega_form(datum, i):
     """The level-i eigenform eps_i * z_i * dx / prod_{B0 finite}(x - tau).
 
@@ -588,13 +993,11 @@ def ord_at_critical(combo, center):
     """
     if combo.is_zero():
         raise ValueError("the zero form has no order")
-    orders = cartier._term_orders(combo.cover, combo.hs, center)
+    orders = _term_orders(combo.cover, combo.hs, center)
     if len(set(orders)) == len(orders):
         return min(orders)
     branch = cartier.branch_root(combo.cover, center)
-    order = cartier.expand_combination(
-        combo.cover, combo.hs, center, _order_bound(combo), branch
-    ).order()
+    order = expand_combination(combo.cover, combo.hs, center, _order_bound(combo), branch).order()
     if order is None:
         # only possible on a disconnected cover: the form is zero on the
         # component through this point
@@ -624,7 +1027,7 @@ def _order_bound(combo):
         m, *(cover.orbit_at(Q)[0] for Q in branches)
     )
     for Q in branches:
-        bound += sheets[Q] * max(0, -min(cartier._term_orders(cover, combo.hs, Q)))
+        bound += sheets[Q] * max(0, -min(_term_orders(cover, combo.hs, Q)))
     return bound
 
 
@@ -752,14 +1155,79 @@ def epsilon_form_by_rationals(combo, center, delta, thetas=None):
     return tuple(out)
 
 
+def branch_roots(datum):
+    """The branch of z at each new point for its specialty expansions:
+    ``cartier.branch_root`` on the datum's cover over ``field_with_roots``,
+    the branch ``deform._leading_coefficients`` takes at a tie point.
+
+    It depends on the datum and the point alone, so it is taken once and
+    shared by every lift of the datum.
+    """
+    cover = datum.embedded(datum.field_with_roots()).cover
+    return [cartier.branch_root(cover, slot) for slot, _ in deform._new_slots(datum)]
+
+
+def specialty_series(deformed, k, branch):
+    """(base, epsilon-part, M) through order M at the k-th new point, per
+    nonzero c in F_{p^s}, read off one frame of level series.
+
+    The expansion is F_p-linear in c level by level: level i scales by
+    c^{p^i}, and so does level i of the epsilon-part's form, which is
+    linear in the h_i.  So omega's level series a_{i,n} and, when it is
+    nonzero, the epsilon-part's come from one frame
+    (``expand_levels``), and each c takes its coefficients
+    n <= M as sum_i c^{p^i} a_{i,n}, with c embedded F_{p^s} ->
+    ``field_with_roots`` -> the branch field.  A zero epsilon-part gives
+    the zero series.
+    """
+    datum = deformed.base
+    sig = datum.signature
+    slot, j = deform._new_slots(datum)[k]
+    target = sig.m_j(j) + sig.a_min(j) - 1
+    s = datum.cover.s
+    d = datum.descriptor
+    big = datum.field_with_roots()
+    unit = cartier.omega_combination(datum.embedded(big))
+    eps_unit = cartier.epsilon_form(
+        unit,
+        slot,
+        {slot: deformed.delta[k].embed(big)},
+        [t.embed(big, unit.cover.taus) for t in deformed.h],
+    )
+    forms = [unit.hs] if eps_unit.is_zero() else [unit.hs, eps_unit.hs]
+    base, *eps = expand_levels(unit.cover, forms, slot, target, branch)
+    desc = branch[1]
+    for c0 in FieldDescriptor.get(d.p, s).elements():
+        if c0.is_zero():
+            continue
+        c = c0.embed(big).embed(desc)
+        cs = [c ** (d.p**i) for i in range(s)]
+        yield (
+            _combine(base, cs, target),
+            _combine(eps[0], cs, target) if eps else LaurentSeries(desc, target + 1, []),
+            target,
+        )
+
+
+def _combine(levels, cs, upto):
+    """sum_i cs[i] levels[i] through order ``upto``; a None level is zero."""
+    terms = [(c, ser) for c, ser in zip(cs, levels) if ser is not None]
+    desc = terms[0][1].descriptor
+    start = min(upto + 1, *(ser.start for _, ser in terms))
+    zero = desc.zero()
+    coeffs = [sum((c * ser.coeff(n) for c, ser in terms), zero) for n in range(start, upto + 1)]
+    return LaurentSeries(desc, start, coeffs, upto)
+
+
 def is_j_special_by_expansions(deformed, k, branch):
     """``deform.is_j_special`` with one expansion per c in F_{p^s}^x.
 
     Every nonzero c scales omega's levels by c^{p^i}, and the
     epsilon-part's form (derived once, linear in c level by level) the
-    same way; each scaled form goes through ``cartier.expand_combination``
-    on its own, where the package reads every c off one set of level
-    series.
+    same way; each scaled form goes through ``expand_combination`` on
+    its own, where ``specialty_series`` reads every c off one set of
+    level series and the package reads orders and leading coefficients
+    in closed form.
     """
     return all(
         base.order() == target and eps.start >= target
@@ -793,13 +1261,13 @@ def specialty_expansions(deformed, k, branch):
             continue
         c = c0.embed(big)
         cs = [c ** (d.p**i) for i in range(s)]
-        base = cartier.expand_combination(
+        base = expand_combination(
             unit.cover, tuple(h * ci for h, ci in zip(unit.hs, cs)), slot, target, branch
         )
         if eps_unit.is_zero():
             eps = LaurentSeries(branch[1], target + 1, [])
         else:
-            eps = cartier.expand_combination(
+            eps = expand_combination(
                 unit.cover, tuple(g * ci for g, ci in zip(eps_unit.hs, cs)), slot, target, branch
             )
         yield base, eps, target
@@ -817,7 +1285,7 @@ def rigidity_check_by_directions(datum):
     n_new = len(datum.tau)
     zero = tuple(d.zero() for _ in range(n_new))
     report = {"zero_direction_special": None, "directions": [], "rigid": None}
-    branches = deform.branch_roots(datum)
+    branches = branch_roots(datum)
     lifted0 = deform.lift_datum(datum, zero)
     ks0 = deform.kodaira_spencer(lifted0)
     report["zero_roundtrip"] = ks0 == zero

@@ -5,7 +5,14 @@ import functools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import RationalFunction, multiplicity_at, poly_divmod, poly_gcd, series_at
+from oracles import (
+    LaurentSeries,
+    RationalFunction,
+    multiplicity_at,
+    poly_divmod,
+    poly_gcd,
+    series_at,
+)
 
 from defdatum import _corepy
 from defdatum.algebra import (
@@ -13,7 +20,6 @@ from defdatum.algebra import (
     INF,
     FieldDescriptor,
     FieldElement,
-    LaurentSeries,
     Poly,
     _nth_root_by_scan,
     nth_root_in_field,

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    LaurentSeries,
     RationalFunction,
     cartier_of_linear_powers,
     cartier_rational,
     cartier_rational_by_powering,
+    expand_combination,
     frobenius_cofactor,
     from_rational,
     is_cartier_fixed_by_rationals,
@@ -31,7 +33,6 @@ from defdatum.algebra import (
     _TABLE_CAP,
     INF,
     FieldDescriptor,
-    LaurentSeries,
     Poly,
 )
 from defdatum.cartier import (
@@ -41,7 +42,6 @@ from defdatum.cartier import (
     cartier_combination,
     cartier_fraction,
     cartier_poly,
-    expand_combination,
     is_cartier_fixed,
     is_fixed_by_constants,
     level_constant,
@@ -920,7 +920,7 @@ def test_valuation_window_matches_heuristic_window(case):
     cover, hs, center, delta, eps_hs, extra = case
     branch_hs = tuple(branch(cover, h) for h in hs)
     branch_eps = tuple(branch(cover, h) for h in eps_hs) if eps_hs else None
-    orders = cartier._term_orders(cover, branch_hs, center) + cartier._term_orders(
+    orders = oracles._term_orders(cover, branch_hs, center) + oracles._term_orders(
         cover, branch_eps or (), center
     )
     assume(orders)
@@ -969,7 +969,7 @@ def test_order_matches_wide_expansion(case):
     combo, center = case
     assume(not combo.is_zero())
     got = ord_at_critical(combo, center)
-    upto = max(cartier._term_orders(combo.cover, combo.hs, center)) + 12
+    upto = max(oracles._term_orders(combo.cover, combo.hs, center)) + 12
     wide = heuristic_window_expansion(
         combo.cover, tuple(to_rational(h) for h in combo.hs), center, upto
     )
@@ -977,9 +977,9 @@ def test_order_matches_wide_expansion(case):
 
 
 def test_each_expansion_is_built_once(monkeypatch):
-    # one frame per expand_combination call and one per is_j_special call,
-    # which reads omega's and the epsilon-part's level series from it
-    calls = {"expand_combination": 0, "_expand": 0, "_order_bound": 0, "is_j_special": 0}
+    # one frame per expand_combination call, and none in a rigidity check,
+    # which reads orders and leading coefficients in closed form
+    calls = {"expand_combination": 0, "_expand": 0, "_order_bound": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -990,19 +990,18 @@ def test_each_expansion_is_built_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cartier, "expand_combination")
-    counted(cartier, "_expand")
-    counted(oracles, "_order_bound")
-    counted(deform, "is_j_special")
+    for name in calls:
+        counted(oracles, name)
     datum = two_level_datum()
     deform.rigidity_check(datum)  # moving centers, theta channels, two levels
+    assert calls["_expand"] == 0
     # a branch constant that needs F_9
     cover = two_level_cover()
     hs = (branch(cover, rat(F3, [1], [1])), branch(cover, rat(F3, [0], [1])))
-    cartier.expand_combination(cover, hs, 2, 4, cartier.branch_root(cover, 2))
+    oracles.expand_combination(cover, hs, 2, 4, cartier.branch_root(cover, 2))
     for ph in phi_basis(datum):
         for center in (0, 1, 2, INF):
             ord_at_critical(ph, center)
     assert calls["_order_bound"] > 0  # some orders tie and are expanded
-    assert calls["expand_combination"] > 0 and calls["is_j_special"] > 0
-    assert calls["_expand"] == calls["expand_combination"] + calls["is_j_special"]
+    assert calls["expand_combination"] > 0
+    assert calls["_expand"] == calls["expand_combination"]

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    SparseCochainComplex,
     cochain_basis,
     group_cochain_complex,
+    sparse_rank,
     verify_resolution_homotopy_per_key,
 )
 
@@ -221,7 +223,34 @@ def test_block_sum_matches_dense_oracle(case):
     # degree nmax + 1 of the oracle also holds blocks that start there
     block_dims = [sum(count * K.dims[n] for count, K in blocks) for n in range(nmax + 1)]
     assert block_dims == list(C.dims[: nmax + 1])
-    assert group_cohomology(M, nmax) == cohomology_dims(C)[: nmax + 1]
+    assert group_cohomology(M, nmax) == C.cohomology_dims()[: nmax + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.integers(1, 6).flatmap(
+                lambda cols: st.lists(
+                    st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols), max_size=6
+                )
+            ),
+        )
+    )
+)
+def test_sparse_rank_matches_dense_rank(case):
+    # the dense oracle's rank, taken over sparse columns
+    p, rows = case
+    width = len(rows[0]) if rows else 0
+    columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(width)]
+    assert sparse_rank(columns, p) == rank_mod_p(rows, p)
+
+
+def test_sparse_complex_rejects_nonzero_square():
+    SparseCochainComplex(3, (1, 1, 1), ([{0: 1}], [{}]))
+    with pytest.raises(ValueError, match="d1 . d0"):
+        SparseCochainComplex(3, (1, 1, 1), ([{0: 1}], [{0: 2}]))
 
 
 def _differential_with(M, n, v, faces):

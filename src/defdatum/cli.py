@@ -4,6 +4,9 @@ Every subcommand writes a single document embedding the effective
 configuration, library versions and per-check outcomes; identical
 configuration yields byte-identical output.  Exit status: 0 on success,
 1 when an embedded verification fails, 2 on usage errors.
+
+Each command imports only the layers it runs: ``enumerate`` and
+``cohomology`` load neither ``search``, ``deform`` nor ``cartier``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 
 import click
 
-from . import __version__, deform, homcoh, search, sigdata
+from . import __version__, homcoh, sigdata
 from .algebra import FieldDescriptor
 
 
@@ -152,6 +155,8 @@ def enumerate(p, m, points, config_path, out_path):
 @_with_shared
 def search_cmd(p, m, points, r, config_path, out_path):
     """Search F_{p^r} for data of every admissible signature and verify them."""
+    from . import search
+
     cfg = _merge(_load_config(config_path), p=p, m=m, points=points, r=r)
     cfg.setdefault("points", 3)
     field, sigs = _field_and_signatures(cfg, ("p", "m", "r"))
@@ -184,6 +189,8 @@ def search_cmd(p, m, points, r, config_path, out_path):
 @_with_shared
 def verify(datum_file, config_path, out_path):
     """Re-verify a datum document produced by search."""
+    from . import search
+
     cfg = _merge(_load_config(config_path), datum_file=datum_file)
     try:
         with open(datum_file) as fh:
@@ -288,6 +295,8 @@ def cohomology(p, seed, budget, config_path, out_path):
 @_with_shared
 def rigidity(p, m, points, r, config_path, out_path):
     """Search, then run the first-order rigidity experiment on each datum."""
+    from . import deform, search
+
     cfg = _merge(_load_config(config_path), p=p, m=m, points=points, r=r)
     field, sigs = _field_and_signatures(cfg, ("p", "m", "points", "r"))
     results = []

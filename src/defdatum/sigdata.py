@@ -11,11 +11,26 @@ Exactly three points (the base triple) carry nu = 0; every other point
 is "new" and carries nu = 1 with b0 != 0.  Wild points (all b^(i) = 0)
 can only sit in the base triple.
 
+The orbit of b0 depends on (p, m, b0) alone, so every per-point
+quantity is a property of the residue, not of the signature.
+`orbit_row` computes it once per residue: the orbit, m_j, and the
+levels where the fractional orbit identity fails (none, as the orbit is
+computed).  A signature's ``rows`` are n lookups, one per point, and
+rows are built only for the residues a signature holds: a signature
+read from a document with a large m costs n rows of length s, never a
+table over [0, m).  sigma = 1 is a per-residue fact as well: nu m +
+b^(i) = m with an integer nu and 0 <= b^(i) < m forces nu = 1 and
+b^(i) = 0, that is m_j = 1, since p is invertible mod m.  The level sums
+sum_j b_j^(i) form one vector per signature (``level_sums``), read by
+the level identity of `validate_signature`, by `is_pure` and by the
+isotypic degrees of `derived_invariants`.
+
 Since base points carry nu = 0 and new points nu = 1, the level-0
 identity sum_j (sigma_j^(0) - 1) = -2 says exactly that the residues
 b0 of all points sum to m.  Enumeration builds its candidates from that
-identity (a base multiset from [0, m) and a new multiset from [1, m)
-with total m) instead of scanning every residue tuple.
+identity (a base multiset from [0, m) and a new multiset from [1, m),
+each a ``combinations_with_replacement`` of total at most m) instead of
+scanning every residue tuple.
 
 Past level 0, such a candidate is admissible exactly when it is pure:
 sum_j b_j^(i) = m at every level i.  Every other identity holds by
@@ -40,9 +55,11 @@ sum_j P(b_j) is m in every slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
+from typing import NamedTuple
 
 from . import homcoh
 
@@ -61,6 +78,27 @@ def multiplicative_order(p, m):
     return s
 
 
+class OrbitRow(NamedTuple):
+    orbit: tuple  # (b, p b, ..., p^(s-1) b) mod m, by b^(i+1) = p b^(i)
+    m_j: int  # m / gcd(m, b); 1 exactly when b = 0 mod m
+    broken: tuple  # levels i where frac(sigma^(i)) != frac(p^i sigma^(0))
+
+
+@lru_cache(maxsize=1024)
+def orbit_row(p, m, b):
+    """The row of residue b in [0, m), built once per (p, m, b).
+
+    The fractional orbit identity is checked against p^i b mod m by
+    modular powers, independently of the recursion that builds the orbit.
+    """
+    orbit, c = [], b
+    for _ in range(multiplicative_order(p, m)):
+        orbit.append(c)
+        c = c * p % m
+    broken = tuple(i for i, b_i in enumerate(orbit) if b_i != pow(p, i, m) * b % m)
+    return OrbitRow(tuple(orbit), m // gcd(m, b), broken)
+
+
 @dataclass(frozen=True)
 class SigPoint:
     role: str  # "B0" or "new"
@@ -70,8 +108,9 @@ class SigPoint:
 
 @dataclass(frozen=True)
 class Signature:
-    """s, the orbits and ``validation`` are computed once, on first use, so
-    a signature with p not invertible mod m can still be built and validated.
+    """s, the rows, orbits, level sums and ``validation`` are computed once,
+    on first use, so a signature with p not invertible mod m can still be
+    built and validated.
     """
 
     p: int
@@ -83,17 +122,24 @@ class Signature:
         return multiplicative_order(self.p, self.m)
 
     @cached_property
+    def rows(self):
+        """rows[j] = ``orbit_row`` of point j's residue b0 mod m."""
+        p, m = self.p, self.m
+        if m < 1:  # as ord_m(p) says, before b0 % m is taken
+            raise ValueError("m must be a positive integer")
+        return tuple(orbit_row(p, m, pt.b0 % m) for pt in self.points)
+
+    @cached_property
     def orbits(self):
         """orbits[j] = (b_j^(0), ..., b_j^(s-1)) with b^(i+1) = p b^(i) mod m."""
-        p, m, s = self.p, self.m, self.s
-        out = []
-        for pt in self.points:
-            b, orbit = pt.b0 % m, []
-            for _ in range(s):
-                orbit.append(b)
-                b = (b * p) % m
-            out.append(tuple(orbit))
-        return tuple(out)
+        return tuple(row.orbit for row in self.rows)
+
+    @cached_property
+    def level_sums(self):
+        """level_sums[i] = sum_j b_j^(i), one entry per level."""
+        if not self.points:
+            return (0,) * self.s
+        return tuple(map(sum, zip(*self.orbits)))
 
     @cached_property
     def validation(self):
@@ -108,7 +154,7 @@ class Signature:
         return self.orbits[j]
 
     def m_j(self, j):
-        return self.m // gcd(self.m, self.points[j].b0 % self.m)
+        return self.rows[j].m_j
 
     def sigma(self, j, i):
         return Fraction(self.orbits[j][i % self.s], self.m) + self.points[j].nu
@@ -191,38 +237,38 @@ def validate_signature(sig):
 
     Each identity on the slopes sigma^(i) = nu + b^(i)/m is checked
     multiplied by m, as an identity of integers; a Fraction is built
-    only to word a failure.
+    only to word a failure.  The level identity reads ``level_sums``;
+    the orbit identity and sigma = 1 are read off each point's row
+    (module docstring), so a point costs O(s) only when it fails.
     """
     if gcd(sig.p, sig.m) != 1:
         return ValidationReport(("p not invertible mod m",))
     if sig.m < 1:  # ord_m(p), and so sig.s, is undefined
         return ValidationReport(("m must be a positive integer",))
     fails = _structural_failures(sig)
-    p, m, s, orbits = sig.p, sig.m, sig.s, sig.orbits
+    m = sig.m
     # m * sum_j (sigma_j^(i) - 1) = sum_j b_j^(i) + m (sum_j nu_j - n)
     shift = m * (sum(pt.nu for pt in sig.points) - sig.n_points)
-    for i in range(s):
-        total = sum(orbit[i] for orbit in orbits) + shift
-        if total != -2 * m:
+    for i, total in enumerate(sig.level_sums):
+        if total + shift != -2 * m:
             fails.append(
-                f"level {i}: sum of (sigma - 1) is {Fraction(total, m)}, expected -2"
+                f"level {i}: sum of (sigma - 1) is {Fraction(total + shift, m)}, expected -2"
             )
-    powers = [pow(p, i, m) for i in range(s)]
-    for j, (pt, orbit) in enumerate(zip(sig.points, orbits)):
-        for i in range(s):
-            # frac(sigma^(i)) = frac(p^i sigma^(0))
-            if orbit[i] != powers[i] * orbit[0] % m:
+    for j, (pt, row) in enumerate(zip(sig.points, sig.rows)):
+        sigma_one = pt.nu == 1 and row.m_j == 1
+        if not (sigma_one or row.broken):
+            continue
+        for i in range(sig.s):
+            if i in row.broken:
                 fails.append(f"point {j}, level {i}: fractional orbit identity broken")
-            if pt.nu * m + orbit[i] == m:
+            if sigma_one:
                 fails.append(f"point {j}, level {i}: sigma = 1 is forbidden")
     return ValidationReport(tuple(fails))
 
 
 def is_pure(sig):
     """Sum of b^(i) over all points equals m at every level."""
-    return all(
-        sum(orbit[i] for orbit in sig.orbits) == sig.m for i in range(sig.s)
-    )
+    return all(total == sig.m for total in sig.level_sums)
 
 
 @dataclass(frozen=True)
@@ -283,33 +329,21 @@ def _check_enumeration_args(p, m, n_points):
         raise ValueError("need at least the base triple")
 
 
-def _multisets(lo, hi, k, total):
-    """Non-decreasing k-tuples with entries in [lo, hi) summing to total."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(lo, min(hi, total // k + 1)):
-        for rest in _multisets(first, hi, k - 1, total - first):
-            yield (first,) + rest
-
-
 def _packed_orbits(p, m, n_points):
-    """(P, target): P[b] packs the orbit of b, slot 0 high; target is m in every slot.
+    """(P, target): P[b] packs the orbit row of b, slot 0 high; target is m in every slot.
 
     Slots are (n_points m).bit_length() bits wide, so a sum of
     n_points packed orbits carries into no slot (module docstring).
     """
-    s, w = multiplicative_order(p, m), (n_points * m).bit_length()
+    w = (n_points * m).bit_length()
     packed = []
     for b in range(m):
         acc = 0
-        for _ in range(s):
-            acc = (acc << w) | b
-            b = b * p % m
+        for c in orbit_row(p, m, b).orbit:
+            acc = (acc << w) | c
         packed.append(acc)
     target = 0
-    for _ in range(s):
+    for _ in range(multiplicative_order(p, m)):
         target = (target << w) | m
     return packed, target
 
@@ -319,18 +353,20 @@ def enumerate_signatures(p, m, n_points):
 
     Candidates are built by construction from the level-0 identity
     sum b0 = m (see the module docstring): the new residues run over the
-    multisets from [1, m) of size n_points - 3, the base triple over the
-    multisets from [0, m) of size 3, with total m.  Every admissible
-    signature satisfies that identity and canonicalization only reorders
-    points within their role, so none is missed.
+    ``combinations_with_replacement`` of [1, m) of size n_points - 3,
+    the base triple over those of [0, m) of size 3, each side kept when
+    its total is at most m.  Every admissible signature satisfies that
+    identity and canonicalization only reorders points within their
+    role, so none is missed.
 
     Past level 0 a candidate is admissible iff it is pure at every
     level, decided as one comparison of packed orbit sums: the base
     triples are indexed by their packed sum, and a new multiset with
     packed sum N meets exactly the triples whose sum is target - N.
-    Only these survivors become a `Signature`, with the points of each
-    role in descending packed order, which is the order `canonicalize`
-    gives, and the signatures sorted by the tuple of their points'
+    Each side is put in descending packed order once, which is the
+    order `canonicalize` gives within a role, and its points are taken
+    from two rows of m points, one per role; a survivor joins the two
+    sides.  The signatures are sorted by the tuple of their points'
     negated packed orbits, which is the tuple of canonical keys.  The
     candidates are distinct multisets, so the signatures are distinct.
     Every survivor still goes through `validate_signature`; a failure
@@ -338,28 +374,36 @@ def enumerate_signatures(p, m, n_points):
     """
     _check_enumeration_args(p, m, n_points)
     packed, target = _packed_orbits(p, m, n_points)
+    base_row = [SigPoint("B0", 0, b) for b in range(m)]
+    new_row = [SigPoint("new", 1, b) for b in range(m)]
+
+    def side(combo, role_row):
+        """(canonical key, points) of a multiset, in descending packed order."""
+        residues = sorted(combo, key=packed.__getitem__, reverse=True)
+        return tuple(-packed[b] for b in residues), tuple(role_row[b] for b in residues)
+
     bases = {}
-    for t in range(m + 1):
-        for base in _multisets(0, m, 3, t):
-            bases.setdefault(sum(packed[b] for b in base), []).append(base)
+    for base in combinations_with_replacement(range(m), 3):
+        if sum(base) <= m:
+            bases.setdefault(sum(map(packed.__getitem__, base)), []).append(base)
     keyed = []
-    for t in range(m + 1):
-        for new in _multisets(1, m, n_points - 3, t):
-            rest = target - sum(packed[b] for b in new)
-            for base in bases.get(rest, ()):
-                residues = sorted(base, key=packed.__getitem__, reverse=True)
-                residues += sorted(new, key=packed.__getitem__, reverse=True)
-                keyed.append((tuple(-packed[b] for b in residues), residues))
-    keyed.sort()
+    for new in combinations_with_replacement(range(1, m), n_points - 3):
+        if sum(new) > m:
+            continue
+        matched = bases.get(target - sum(map(packed.__getitem__, new)))
+        if matched:
+            new_key, new_points = side(new, new_row)
+            for base in matched:
+                base_key, base_points = side(base, base_row)
+                keyed.append((base_key + new_key, base_points + new_points))
+    keyed.sort(key=lambda pair: pair[0])
     out = []
-    for _, residues in keyed:
-        sig = Signature(p, m, tuple(
-            SigPoint("B0", 0, b) if j < 3 else SigPoint("new", 1, b)
-            for j, b in enumerate(residues)
-        ))
+    for _, points in keyed:
+        sig = Signature(p, m, points)
         if not sig.validation.passed:
             raise ArithmeticError(
-                f"packed purity test admitted {residues}: {sig.validation.failures}"
+                f"packed purity test admitted {[pt.b0 for pt in points]}: "
+                f"{sig.validation.failures}"
             )
         out.append(sig)
     return out
@@ -369,20 +413,21 @@ def derived_invariants(sig):
     """Genus, isotypic degrees and cohomology, and tangent accounting.
 
     The genus of the cover Z comes from Riemann-Hurwitz over the local
-    indices m_j; the isotypic degree at level i is minus the sum of the
-    fractional parts of sigma^(i); the (h0, h1) pairs come from the
+    indices m_j of the points' rows; the isotypic degree at level i is
+    minus the sum of the fractional parts of sigma^(i), that is
+    -level_sums[i]/m, from the signature's one level-sum vector; the
+    (h0, h1) pairs come from the
     two-chart Cech complex through `homcoh.cech_line_bundle`, which is
     memoized per (p, d): a table of signatures asks for a handful of
     degrees many times, and each is ranked once per process.
     """
     m = sig.m
-    ram = sum((m // sig.m_j(j)) * (sig.m_j(j) - 1) for j in range(sig.n_points))
+    ram = sum((m // row.m_j) * (row.m_j - 1) for row in sig.rows)
     two_g = -2 * m + ram + 2
     if two_g % 2:
         raise ArithmeticError("Riemann-Hurwitz parity failure")
     degrees = []
-    for i in range(sig.s):
-        total = sum(orbit[i] for orbit in sig.orbits)
+    for i, total in enumerate(sig.level_sums):
         if total % m:
             raise ArithmeticError(f"level {i}: residues do not sum to 0 mod m")
         degrees.append(-(total // m))

@@ -11,12 +11,16 @@ package's path in the unit suites:
   ``homcoh.verify_resolution_homotopy`` (one key per equality pattern);
 - ``enumerate_signatures_bruteforce`` (every residue tuple) and
   ``enumerate_signatures_by_validation`` (the construction from
-  sum b0 = m, every candidate canonicalized and validated) with
-  ``sigdata.enumerate_signatures`` (the same construction, filtered by
-  packed orbit sums);
+  sum b0 = m by the recursive ``_multisets``, every candidate
+  canonicalized and validated) with ``sigdata.enumerate_signatures``
+  (the same construction by ``combinations_with_replacement``,
+  filtered by packed orbit sums);
+- ``orbits_by_recursion`` (every point's orbit, level by level) with
+  ``Signature.orbits`` and ``Signature.level_sums`` (one memoized
+  ``sigdata.orbit_row`` per residue);
 - ``validate_signature_by_fractions`` (the slope identities in
   Fractions) with ``sigdata.validate_signature`` (the same identities
-  times m, in integers);
+  times m, in integers, read off the level sums and the rows);
 - ``cartier_rational`` (C(N g^(p-1))/g on a ``RationalFunction``, kept
   coprime by ``poly_gcd``, g^(p-1) as g^p // g by ``poly_divmod``) with
   ``cartier.cartier_fraction`` (the p-th-power split of known
@@ -243,16 +247,40 @@ def enumerate_signatures_bruteforce(p, m, n_points):
     return _admissible(p, m, candidates)
 
 
+def _multisets(lo, hi, k, total):
+    """Non-decreasing k-tuples with entries in [lo, hi) summing to total."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(lo, min(hi, total // k + 1)):
+        for rest in _multisets(first, hi, k - 1, total - first):
+            yield (first,) + rest
+
+
 def enumerate_signatures_by_validation(p, m, n_points):
     """The level-0 construction (residues summing to m), each candidate validated."""
     sigdata._check_enumeration_args(p, m, n_points)
     candidates = (
         (base, new)
         for t in range(m + 1)
-        for new in sigdata._multisets(1, m, n_points - 3, t)
-        for base in sigdata._multisets(0, m, 3, m - t)
+        for new in _multisets(1, m, n_points - 3, t)
+        for base in _multisets(0, m, 3, m - t)
     )
     return _admissible(p, m, candidates)
+
+
+def orbits_by_recursion(sig):
+    """Every point's orbit b^(i+1) = p b^(i) mod m, point by point, level by level."""
+    p, m, s = sig.p, sig.m, sig.s
+    out = []
+    for pt in sig.points:
+        b, orbit = pt.b0 % m, []
+        for _ in range(s):
+            orbit.append(b)
+            b = (b * p) % m
+        out.append(tuple(orbit))
+    return tuple(out)
 
 
 def validate_signature_by_fractions(sig):

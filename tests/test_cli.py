@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defdatum
+import defdatum.search
 from defdatum import cli
 from defdatum.cli import main
 
@@ -151,6 +152,20 @@ def test_verify_of_a_nonpositive_m_is_a_usage_error(runner, tmp_path, m, with_s)
     assert "m must be a positive integer" in res.output
 
 
+def test_verify_of_a_large_m_without_s_names_the_level_failures(runner, tmp_path):
+    # m = 20011 makes s = ord_m(3) = 4002 levels: the signature's rows are
+    # built for its own residues only, never a table over [0, m)
+    signature = {**P3_DATUM["signature"], "m": 20011}
+    del signature["s"]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({**P3_DATUM, "signature": signature}))
+    res = invoke(runner, "verify", str(path))
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "level 0: sum of (sigma - 1) is -60031/20011, expected -2" in res.output
+    assert "level 4001: sum of (sigma - 1)" in res.output
+
+
 def test_out_flag_writes_the_document(runner, tmp_path):
     out = tmp_path / "doc.json"
     res = invoke(
@@ -185,7 +200,7 @@ def test_unwritable_out_is_a_usage_error_before_any_work(
 
     for module, name in [
         (cli.sigdata, "enumerate_signatures"),
-        (cli.search.DeformationDatum, "from_json"),
+        (defdatum.search.DeformationDatum, "from_json"),
         (cli.homcoh, "cech_line_bundle"),
     ]:
         monkeypatch.setattr(module, name, no_work)
@@ -625,3 +640,32 @@ def test_the_package_runs_without_numpy(tmp_path):
     assert report["codes"] == {
         name: [0, "None"] for name in ("enumerate", "search", "verify", "cohomology", "rigidity")
     }
+
+
+_LOADED_LAYERS = """
+import sys
+from defdatum.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("defdatum."))))
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["enumerate", "--p", "3", "--m", "2", "--points", "4"], ["cohomology", "--p", "3"]],
+)
+def test_enumerate_and_cohomology_load_no_search_layer(tmp_path, args):
+    src = str(Path(defdatum.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_LAYERS, *args, "--out", str(tmp_path / "doc.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "defdatum.sigdata" in loaded
+    for layer in ("defdatum.search", "defdatum.deform", "defdatum.cartier"):
+        assert layer not in loaded

@@ -1,8 +1,10 @@
 """Signatures: admissibility, purity, specialty, enumeration, invariants."""
 
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     enumerate_signatures_bruteforce,
     enumerate_signatures_by_validation,
+    orbits_by_recursion,
     validate_signature_by_fractions,
 )
 
@@ -357,6 +360,58 @@ def test_integer_identities_match_fractions_on_enumerated_signatures():
                     assert_integer_forms_match_fractions(sig)
                     count += 1
     assert count > 200
+
+
+def _rows_by_recursion(sig):
+    orbits = orbits_by_recursion(sig)
+    level_sums = tuple(sum(orbit[i] for orbit in orbits) for i in range(sig.s))
+    return orbits, level_sums, tuple(sig.m // gcd(sig.m, pt.b0 % sig.m) for pt in sig.points)
+
+
+def _rows(sig):
+    return sig.orbits, sig.level_sums, tuple(sig.m_j(j) for j in range(sig.n_points))
+
+
+def assert_rows_match_recursion(sig):
+    # each side on its own instance, so neither reads the other's cache
+    fresh = Signature(sig.p, sig.m, sig.points)
+    assert _outcome(_rows, sig) == _outcome(_rows_by_recursion, fresh)
+    assert validate_signature(sig) == validate_signature_by_fractions(fresh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_signatures())
+@example(Signature(3, 6, GOLDEN.points))  # p not invertible mod m
+@example(Signature(7, 5, (SigPoint("B0", 0, 5),) + GOLDEN.points[1:]))  # b0 = m
+@example(Signature(7, 5, (SigPoint("B0", 0, -1),) + GOLDEN.points[1:]))  # b0 < 0
+@example(Signature(7, 5, (SigPoint("new", 1, 0),) + GOLDEN.points))  # sigma = 1, s = 4
+@example(Signature(7, 5, (SigPoint("x", 2, 3),) + GOLDEN.points))  # unknown role, nu = 2
+def test_rows_match_recursion_on_malformed_signatures(sig):
+    assert_rows_match_recursion(sig)
+
+
+def test_rows_match_recursion_on_the_validation_grid():
+    for key in VALIDATION_GRID:
+        for sig in enumerate_signatures(*key):
+            assert_rows_match_recursion(sig)
+
+
+README_SIGNATURE = json.loads(
+    (Path(__file__).parent / "data" / "search-p3-m2-points3-r1.json").read_text()
+)["results"][0]["signature"]
+
+
+def test_rows_are_built_for_the_residues_a_signature_holds():
+    # the README search datum's signature with m = 20011 and no s: 4002
+    # levels, three points, two distinct residues
+    obj = {**README_SIGNATURE, "m": 20011}
+    del obj["s"]
+    sig = Signature.from_json(obj)
+    sigdata.orbit_row.cache_clear()
+    report = validate_signature(sig)
+    assert sigdata.orbit_row.cache_info().misses <= sig.n_points
+    assert sig.s == 4002 and len(report.failures) == sig.s
+    assert report == validate_signature_by_fractions(Signature.from_json(obj))
 
 
 def test_derived_data_is_cached_per_instance():
